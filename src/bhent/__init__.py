@@ -21,13 +21,11 @@ from bhent.errors import (
     TruncationError,
 )
 from bhent.geometry import RotatingBH, SchwarzschildBH, tev_scales
-from bhent.kernels import BACKEND, jacobi_eigh
 from bhent.modes import BOSON, FERMION, ModeSpec, SqueezingParams, squeeze
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "BACKEND",
     "BOSON",
     "FERMION",
     "ContractViolationError",
@@ -41,7 +39,6 @@ __all__ = [
     "TruncationError",
     "fidelity_boson",
     "fidelity_fermion",
-    "jacobi_eigh",
     "log_negativity_boson",
     "log_negativity_fermion",
     "minibh_bounds",

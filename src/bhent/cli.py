@@ -10,11 +10,12 @@ oracle-check  closed forms vs Fock-space oracle -> comparison CSV
 estimate      SI-unit estimators (coupling-time, hawking-temp, radiation-density)
 tev           TeV-gravity length scales
 
-Exit codes: 0 success, 2 invalid flags, 3 physics domain error, 4 unwritable
-output path, 5 oracle contract mismatch, 6 internal contract violation (a
-numerical self-check failed, e.g. Jacobi non-convergence or a horizon
-residual).  The environment variable BHE_DEFAULT_TOL overrides the default
-series tolerance (1e-10).
+Exit codes: 0 success, 2 invalid flags, 3 physics domain error (also any
+non-finite numeric flag, or a sweep spec with a non-integer d/n/m or an
+unknown statistics), 4 unwritable output path, 5 oracle contract mismatch,
+6 internal contract violation (a numerical self-check failed, e.g. Jacobi
+non-convergence or a horizon residual).  The environment variable
+BHE_DEFAULT_TOL overrides the default series tolerance (1e-10).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import os
 import sys
 
-from bhent import channels, estimates, fock_oracle, geometry, modes, reports, sweep
+from bhent import channels, estimates, geometry, modes, sweep
 from bhent.errors import ContractViolationError, PhysicsDomainError, TruncationError
 
 EXIT_OK = 0
@@ -40,9 +41,19 @@ def default_tol() -> float:
     if raw is None:
         return channels.DEFAULT_SERIES_TOL
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
         raise PhysicsDomainError(f"BHE_DEFAULT_TOL is not a number: {raw!r}")
+    if not math.isfinite(tol):
+        raise PhysicsDomainError(f"BHE_DEFAULT_TOL must be finite, got {raw!r}")
+    return tol
+
+
+def _check_finite(args) -> None:
+    """Reject every non-finite float flag once, before any command runs."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise PhysicsDomainError(f"--{name} must be finite, got {value}")
 
 
 def _fmt(value: float) -> str:
@@ -196,15 +207,25 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    tanh_values = [float(v) for v in args.tanhr.split(",")]
+    # The oracle needs numpy; importing it here keeps it off every other command's path.
+    from bhent import fock_oracle, reports
+
+    trunc = fock_oracle.DEFAULT_TRUNC if args.trunc is None else args.trunc
+    try:
+        tanh_values = [float(v) for v in args.tanhr.split(",")]
+    except ValueError:
+        raise PhysicsDomainError(f"--tanhr must be a comma list of numbers, got {args.tanhr!r}")
+    for th in tanh_values:
+        if not 0.0 <= th < 1.0:
+            raise PhysicsDomainError(f"--tanhr values must lie in [0, 1), got {th}")
     tol = args.tol
     try:
-        rows = reports.negativity_rows(tanh_values, args.trunc, tol / 10.0)
+        rows = reports.negativity_rows(tanh_values, trunc, tol / 10.0)
         rng_points = [(0.1 + 0.05 * k, k % 6) for k in range(12)]
         rows += reports.eigenvalue_rows(rng_points)
         r_fermi = [0.0, 0.2, 0.4, math.pi / 4]
         rows += reports.fermion_rows(r_fermi)
-        rows += reports.fidelity_boson_rows([math.log(2.0), 1.5, 3.0], args.trunc)
+        rows += reports.fidelity_boson_rows([math.log(2.0), 1.5, 3.0], trunc)
     except TruncationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
@@ -306,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="closed forms vs Fock-space oracle")
     p.add_argument("--tanhr", default="0.1,0.3,0.5,0.7", help="comma list of tanh r points")
-    p.add_argument("--trunc", type=int, default=fock_oracle.DEFAULT_TRUNC)
+    p.add_argument("--trunc", type=int, help="Fock truncation (default fock_oracle.DEFAULT_TRUNC)")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", required=True, help="comparison CSV path")
     p.set_defaults(func=cmd_oracle_check)
@@ -336,6 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
+        _check_finite(args)
         if getattr(args, "tol", None) is None and hasattr(args, "tol"):
             args.tol = default_tol()
         return args.func(args)

@@ -12,6 +12,9 @@ Conventions
 - The rotating horizon radius is always obtained by bracketed root-finding on
   Delta(r) = r^2 + a^2 - mu / r^(n-1); the closed form
   r_h = [mu/(1+a_*^2)]^(1/(n+1)) is asserted against the root, never trusted.
+  The root-finder is the in-house `brentq`, a line-by-line port of SciPy's C
+  Brent routine (Brent 1973, ch. 4), so it returns the same floats without
+  importing SciPy.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-
-from scipy.optimize import brentq
 
 from bhent.errors import ContractViolationError, NakedSingularityError, PhysicsDomainError
 
@@ -189,6 +190,72 @@ def _delta(n: int, mu: float, a: float, r: float) -> float:
     return r * r + a * a - mu * r ** (1 - n)
 
 
+def brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of f in the bracket [xa, xb] by Brent's method.
+
+    A line-by-line port of `brentq` in SciPy's scipy/optimize/Zeros/brentq.c:
+    the same inverse-quadratic/secant steps, bisection fallback and stopping
+    test |sbis| < (xtol + rtol |x|)/2, so it returns the same float.  The
+    guards SciPy's Python wrapper adds become ContractViolationError: a NaN
+    function value, a bracket without a sign change, or no convergence in
+    maxiter iterations.
+    """
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ContractViolationError(f"function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ContractViolationError(f"no sign change on the bracket [{xa}, {xb}]")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise ContractViolationError(f"Brent root-finding did not converge in {maxiter} iterations")
+
+
 def rotating_horizon(n: int, mu: float, a: float) -> float:
     """Largest positive root of Delta(r) = 0, by bracketed root-finding.
 
@@ -197,6 +264,8 @@ def rotating_horizon(n: int, mu: float, a: float) -> float:
     """
     if n < 0:
         raise PhysicsDomainError(f"extra dimensions must be >= 0, got {n}")
+    if not (math.isfinite(mu) and math.isfinite(a)):
+        raise PhysicsDomainError(f"mass and spin parameters must be finite, got mu={mu}, a={a}")
     if mu <= 0:
         raise PhysicsDomainError(f"mass parameter must be positive, got {mu}")
     if a < 0:
@@ -224,10 +293,7 @@ def rotating_horizon(n: int, mu: float, a: float) -> float:
     while _delta(n, mu, a, hi) <= 0.0:
         hi *= 2.0
 
-    if _delta(n, mu, a, lo) == 0.0:
-        r_h = lo
-    else:
-        r_h = brentq(lambda r: _delta(n, mu, a, r), lo, hi, xtol=1e-300, rtol=8.9e-16)
+    r_h = brentq(lambda r: _delta(n, mu, a, r), lo, hi, xtol=1e-300, rtol=8.9e-16)
 
     residual = abs(_delta(n, mu, a, r_h))
     tol = 1e-12 * max(r_h * r_h, a * a, mu * r_h ** (1 - n))

@@ -23,6 +23,25 @@ PARAMETER_VOCABULARY = frozenset(
     {"d", "n", "M", "mu", "r_h", "a", "a_star", "omega", "omega_rh", "m", "statistics", "tol"}
 )
 OUTPUT_VOCABULARY = ("kappa", "Omega", "r", "N_occ", "E_N", "F")
+INTEGER_PARAMETERS = frozenset({"d", "n", "m"})
+
+
+def _check_value(name: str, value) -> None:
+    """Check one sweep parameter value.
+
+    statistics must come from the vocabulary; every other value must be
+    finite, and d, n and m integral (4.0 is accepted, 4.7 is not).
+    """
+    if name == "statistics":
+        if value not in (modes.BOSON, modes.FERMION):
+            raise PhysicsDomainError(
+                f"statistics must be {modes.BOSON!r} or {modes.FERMION!r}, got {value!r}"
+            )
+        return
+    if not math.isfinite(value):
+        raise PhysicsDomainError(f"sweep parameter {name} must be finite, got {value}")
+    if name in INTEGER_PARAMETERS and value != int(value):
+        raise PhysicsDomainError(f"sweep parameter {name} must be an integer, got {value}")
 
 
 @dataclass(frozen=True)
@@ -62,9 +81,17 @@ class SweepSpec:
         names = [ax.name for ax in self.axes]
         if len(set(names)) != len(names):
             raise PhysicsDomainError("duplicate axis names")
-        for key in self.fixed:
+        for key, value in self.fixed.items():
             if key not in PARAMETER_VOCABULARY:
                 raise PhysicsDomainError(f"unknown fixed parameter {key!r}")
+            _check_value(key, value)
+        for ax in self.axes:
+            if not (math.isfinite(ax.lo) and math.isfinite(ax.hi)):
+                raise PhysicsDomainError(
+                    f"axis {ax.name} needs finite endpoints, got {ax.lo}, {ax.hi}"
+                )
+            for value in ax.values():
+                _check_value(ax.name, value)
         for out in self.outputs:
             if out not in OUTPUT_VOCABULARY:
                 raise PhysicsDomainError(f"unknown output {out!r}")

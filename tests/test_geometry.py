@@ -1,10 +1,16 @@
 import math
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq as scipy_brentq
 
+import bhent
 from bhent import geometry
-from bhent.errors import NakedSingularityError, PhysicsDomainError
+from bhent.errors import ContractViolationError, NakedSingularityError, PhysicsDomainError
 
 
 class TestGammaHalf:
@@ -183,6 +189,96 @@ class TestRotatingHole:
             geometry.rotating_horizon(1, -1.0, 0.0)
         with pytest.raises(PhysicsDomainError):
             geometry.rotating_kappa_omega(1, 1.0, -0.1)
+
+    @pytest.mark.parametrize(
+        "n, mu, a",
+        [(2, math.nan, 0.0), (2, math.inf, 0.0), (0, 1.0, math.nan), (3, 1.0, -math.inf)],
+    )
+    def test_non_finite_input_is_domain_error(self, n, mu, a):
+        with pytest.raises(PhysicsDomainError, match="finite"):
+            geometry.rotating_horizon(n, mu, a)
+
+    def test_infinite_spin_returns(self):
+        # a = inf once kept the bracket's lower end at inf and never returned.
+        code = (
+            "from bhent import geometry\n"
+            "from bhent.errors import PhysicsDomainError\n"
+            "try:\n"
+            "    geometry.rotating_horizon(2, 1.0, float('inf'))\n"
+            "except PhysicsDomainError as exc:\n"
+            "    print('domain:', exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bhent.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("domain:")
+
+
+def _horizon_cases():
+    """Seeded (n, mu, a) grid: n = 0, 1 and >= 2, mu over twelve decades,
+    spins from 0 up to just short of the naked-singularity edge."""
+    rng = random.Random(20070731)
+    cases = []
+    for n in range(10):
+        for _ in range(120):
+            mu = 10.0 ** rng.uniform(-6.0, 6.0)
+            if n == 0:
+                edge = mu / 2.0  # 4a^2 = mu^2
+            elif n == 1:
+                edge = math.sqrt(mu)  # a^2 = mu
+            else:
+                edge = 10.0 * mu ** (1.0 / (n + 1))  # no edge; spin far above scale
+            if rng.random() < 0.5:
+                a = edge * (1.0 - 10.0 ** rng.uniform(-15.0, -1.0))
+            else:
+                a = edge * rng.random()
+            cases.append((n, mu, a))
+    return cases
+
+
+class TestBrentPort:
+    """geometry.brentq is a port of SciPy's C brentq and must return the same floats."""
+
+    def test_horizons_bit_identical_to_scipy(self, monkeypatch):
+        ours = [geometry.rotating_horizon(n, mu, a) for n, mu, a in _horizon_cases()]
+        monkeypatch.setattr(
+            geometry,
+            "brentq",
+            lambda f, lo, hi, xtol, rtol: scipy_brentq(f, lo, hi, xtol=xtol, rtol=rtol),
+        )
+        theirs = [geometry.rotating_horizon(n, mu, a) for n, mu, a in _horizon_cases()]
+        mismatches = [(c, x, y) for c, x, y in zip(_horizon_cases(), ours, theirs) if x != y]
+        assert not mismatches
+        assert len(ours) == 1200
+
+    @pytest.mark.parametrize(
+        "f, lo, hi",
+        [
+            (lambda x: x**3 - 2.0, 0.0, 5.0),
+            (lambda x: math.cos(x) - 0.7 * x, 3.0, -1.0),
+            (lambda x: math.atan(x - 1.3), -4.0, 9.0),
+            (lambda x: math.expm1(x) - 1e-9, -2.0, 1.0),
+        ],
+    )
+    @pytest.mark.parametrize("xtol, rtol", [(1e-300, 8.9e-16), (1e-6, 1e-10), (2e-12, 1e-4)])
+    def test_generic_roots_bit_identical(self, f, lo, hi, xtol, rtol):
+        assert geometry.brentq(f, lo, hi, xtol, rtol) == scipy_brentq(
+            f, lo, hi, xtol=xtol, rtol=rtol
+        )
+
+    def test_bracket_end_on_root(self):
+        assert geometry.brentq(lambda x: x - 1.0, 1.0, 3.0, 1e-300, 8.9e-16) == 1.0
+        assert geometry.brentq(lambda x: x - 3.0, 1.0, 3.0, 1e-300, 8.9e-16) == 3.0
+
+    def test_guards(self):
+        with pytest.raises(ContractViolationError, match="sign change"):
+            geometry.brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-300, 8.9e-16)
+        with pytest.raises(ContractViolationError, match="NaN"):
+            geometry.brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0, 1e-300, 8.9e-16)
+        with pytest.raises(ContractViolationError, match="converge"):
+            geometry.brentq(lambda x: x**3 - 2.0, 0.0, 5.0, 1e-300, 8.9e-16, maxiter=3)
 
 
 class TestTevScales:

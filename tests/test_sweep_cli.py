@@ -1,9 +1,12 @@
 import math
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import bhent
 from bhent import cli, fock_oracle, geometry, sweep
 from bhent.errors import ContractViolationError, PhysicsDomainError
 
@@ -51,6 +54,41 @@ class TestSweepSpec:
             sweep.SweepSpec(axes=(ax,), fixed={"bogus": 1}, outputs=("E_N",))
         with pytest.raises(PhysicsDomainError):
             sweep.SweepSpec(axes=(ax,), outputs=("bogus",))
+
+    @pytest.mark.parametrize(
+        "axis, fixed",
+        [
+            (("omega", 0.2, 1.0, 3), {"d": 4, "r_h": 1.0, "statistics": "bosn"}),
+            (("statistics", 0.0, 1.0, 2), {"d": 4, "r_h": 1.0, "omega": 1.0}),
+            (("omega", 0.2, math.inf, 3), {"d": 4, "r_h": 1.0}),
+            (("omega", math.nan, 1.0, 3), {"d": 4, "r_h": 1.0}),
+            (("r_h", 0.1, math.nan, 3, "log"), {"d": 4, "omega": 1.0}),
+            (("omega", 0.2, 1.0, 3), {"d": 4, "r_h": math.inf}),
+            (("omega", 0.2, 1.0, 3), {"d": 4, "r_h": 1.0, "tol": math.nan}),
+            (("d", 5.0, 10.0, 4), {"r_h": 1.0, "omega": 1.0}),
+            (("omega", 0.2, 1.0, 3), {"d": 4.7, "r_h": 1.0}),
+            (("omega", 0.2, 1.0, 3), {"n": 1.5, "mu": 2.0}),
+            (("omega", 0.2, 1.0, 3), {"d": 4, "r_h": 1.0, "m": 0.5}),
+            (("m", 0.0, 1.0, 3), {"d": 4, "r_h": 1.0, "omega": 1.0}),
+        ],
+        ids=["statistics-typo", "statistics-axis", "inf-endpoint", "nan-endpoint",
+             "nan-log-endpoint", "inf-fixed", "nan-tol", "non-integer-d-axis",
+             "non-integer-d-fixed", "non-integer-n-fixed", "non-integer-m-fixed",
+             "non-integer-m-axis"],
+    )
+    def test_rejects_bad_values(self, axis, fixed):
+        with pytest.raises(PhysicsDomainError):
+            sweep.SweepSpec(axes=(sweep.Axis(*axis),), fixed=fixed, outputs=("E_N",))
+
+    def test_integral_floats_accepted(self):
+        spec = sweep.SweepSpec(
+            axes=(sweep.Axis("d", 5.0, 11.0, 7), sweep.Axis("m", 0.0, 2.0, 3)),
+            fixed={"r_h": 1.0, "omega": 1.0, "statistics": "fermion"},
+            outputs=("E_N",),
+        )
+        assert [c[0] for c in spec.grid()][::3] == [5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0]
+        sweep.SweepSpec(axes=(sweep.Axis("omega", 0.2, 1.0, 2),),
+                        fixed={"n": 2.0, "mu": 1.0, "m": 1.0}, outputs=("E_N",))
 
     def test_grid_row_major(self):
         spec = spec_2d()
@@ -202,6 +240,76 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["entangle", "--kappa", "inf", "--omega", "1"], "kappa", "inf"),
+            (["entangle", "--kappa", "1", "--omega", "nan"], "omega", "nan"),
+            (["teleport", "--kappa", "nan", "--omega", "1"], "kappa", "nan"),
+            (["geom", "--d", "4", "--rh", "nan"], "rh", "nan"),
+            (["geom", "--n", "2", "--mu", "nan"], "mu", "nan"),
+            (["geom", "--n", "0", "--mu", "1", "--a", "nan"], "a", "nan"),
+            (["tev", "--n", "2", "--mstar", "inf", "--mbh", "5"], "mstar", "inf"),
+            (["estimate", "radiation-density", "--temp", "nan"], "temp", "nan"),
+        ],
+        ids=lambda v: "-".join(v[:1]) if isinstance(v, list) else v,
+    )
+    def test_non_finite_flag(self, argv, flag, value, capsys):
+        assert cli.main(argv) == cli.EXIT_PHYSICS == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --{flag} must be finite, got {value}\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--axis", "omega:0.2:1.0:3", "--fixed", "d=4", "--fixed", "r_h=1",
+             "--fixed", "statistics=bosn"],
+            ["--axis", "d:5:10:4", "--fixed", "r_h=1", "--fixed", "omega=1"],
+            ["--axis", "omega:0.2:1.0:3", "--fixed", "d=4.7", "--fixed", "r_h=1"],
+            ["--axis", "omega:0.2:1.0:3", "--fixed", "d=4", "--fixed", "r_h=nan"],
+        ],
+        ids=["statistics-typo", "non-integer-d-axis", "non-integer-d-fixed", "nan-fixed"],
+    )
+    def test_bad_sweep_spec_writes_no_csv(self, args, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli.main(["sweep", *args, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tanhr", ["nan", "1", "-0.2", "0.3,abc"])
+    def test_oracle_check_bad_tanhr(self, tanhr, capsys):
+        assert cli.main(["oracle-check", "--tanhr", tanhr, "--out", os.devnull]) == 3
+        assert capsys.readouterr().err.startswith("error: --tanhr")
+
+    def test_oracle_check_default_trunc(self, monkeypatch, tmp_path, capsys):
+        # --trunc falls back to fock_oracle.DEFAULT_TRUNC, read when the command runs.
+        monkeypatch.setattr(fock_oracle, "DEFAULT_TRUNC", 3)
+        rc = cli.main(["oracle-check", "--tanhr", "0.95", "--out", str(tmp_path / "oc.csv")])
+        assert rc == 5
+        assert "trace deficit" in capsys.readouterr().err
+
+
+def test_cli_import_loads_neither_scipy_nor_numpy(tmp_path):
+    code = (
+        "import sys\n"
+        "import bhent.cli\n"
+        "print(sorted(m for m in ('scipy', 'numpy', 'mpmath') if m in sys.modules))\n"
+        "rc = bhent.cli.main(['oracle-check', '--tanhr', '0.2,0.5', '--out', sys.argv[1]])\n"
+        "print(rc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bhent.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "oc.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, rc = proc.stdout.splitlines()[0], proc.stdout.splitlines()[-1]
+    assert loaded == "[]"
+    assert rc == "0"
+
+
 class TestEnvTolerance:
     def test_env_overrides_default(self, monkeypatch):
         monkeypatch.setenv("BHE_DEFAULT_TOL", "1e-4")
@@ -213,6 +321,13 @@ class TestEnvTolerance:
         monkeypatch.setenv("BHE_DEFAULT_TOL", "not-a-number")
         rc = cli.main(["entangle", "--kappa", "1", "--omega", "1"])
         assert rc == 3
+
+    def test_non_finite_env_is_domain_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("BHE_DEFAULT_TOL", "nan")
+        rc = cli.main(["sweep", "--axis", "omega:0.2:1.0:2", "--fixed", "d=4",
+                       "--fixed", "r_h=1", "--out", os.devnull])
+        assert rc == 3
+        assert "BHE_DEFAULT_TOL" in capsys.readouterr().err
 
 
 class TestPointCommands:
