@@ -50,10 +50,9 @@ class NegativityResult:
 
 def neg_eigenvalue_boson(r: float, n: int) -> float:
     """n-th negative partial-transpose block eigenvalue of the bosonic channel."""
-    if r < 0:
-        raise PhysicsDomainError(f"squeezing parameter must be >= 0, got {r}")
-    if n < 0:
-        raise PhysicsDomainError(f"block index must be >= 0, got {n}")
+    _check_boson_r(r)
+    if not (math.isfinite(n) and n >= 0):
+        raise PhysicsDomainError(f"block index must be finite and >= 0, got {n}")
     t = math.tanh(r)
     one_minus = 1.0 - t * t  # sech^2 r
     return -(t ** (2 * n)) * math.sqrt(n + 1) * one_minus**1.5 / 2.0
@@ -66,8 +65,7 @@ def log_negativity_boson(r: float, tol: float = DEFAULT_SERIES_TOL) -> Negativit
     tol * cosh^3 r.  For t extremely close to 1 the series is evaluated as
     Li_{-1/2}(t)/t instead (mpmath), with tail_bound reported as 0.
     """
-    if r < 0:
-        raise PhysicsDomainError(f"squeezing parameter must be >= 0, got {r}")
+    _check_boson_r(r)
     if not 0.0 < tol <= 1e-3:
         raise PhysicsDomainError(f"series tolerance must be in (0, 1e-3], got {tol}")
     t = math.tanh(r) ** 2
@@ -110,11 +108,7 @@ def fidelity_boson(omega_eff: float, kappa: float) -> float:
     See the module docstring: the constructive value is (1 - exp(-2 pi
     omega_eff/kappa))^3; this function keeps the stated exponent.
     """
-    if omega_eff <= 0:
-        raise PhysicsDomainError(f"effective frequency must be positive, got {omega_eff}")
-    if kappa <= 0:
-        raise PhysicsDomainError(f"surface gravity must be positive, got {kappa}")
-    x = math.pi * omega_eff / kappa
+    x = modes._check_ratio(omega_eff, kappa)
     if x > 700.0:
         return 1.0
     return (-math.expm1(-x)) ** 3
@@ -126,6 +120,11 @@ def fidelity_fermion(r: float | modes.SqueezingParams) -> float:
         return r.cos_r * r.cos_r
     _check_fermion_r(r)
     return math.cos(r) ** 2
+
+
+def _check_boson_r(r: float) -> None:
+    if not (math.isfinite(r) and r >= 0):
+        raise PhysicsDomainError(f"squeezing parameter must be finite and >= 0, got {r}")
 
 
 def _check_fermion_r(r: float) -> None:

@@ -12,8 +12,9 @@ tev           TeV-gravity length scales
 
 Exit codes: 0 success, 2 invalid flags, 3 physics domain error (also any
 non-finite numeric flag, or a sweep spec with a non-integer d/n/m or an
-unknown statistics), 4 unwritable output path, 5 oracle contract mismatch,
-6 internal contract violation (a numerical self-check failed, e.g. Jacobi
+unknown statistics), 4 unwritable output path, 5 oracle contract mismatch
+or a truncation too small for the gate (the oracle's trace deficit exceeds
+--tol), 6 internal contract violation (a numerical self-check failed, e.g. Jacobi
 non-convergence or a horizon residual).  The environment variable
 BHE_DEFAULT_TOL overrides the default series tolerance (1e-10).
 """
@@ -220,7 +221,7 @@ def cmd_oracle_check(args) -> int:
             raise PhysicsDomainError(f"--tanhr values must lie in [0, 1), got {th}")
     tol = args.tol
     try:
-        rows = reports.negativity_rows(tanh_values, trunc, tol / 10.0)
+        rows = reports.negativity_rows(tanh_values, trunc, tol)
         rng_points = [(0.1 + 0.05 * k, k % 6) for k in range(12)]
         rows += reports.eigenvalue_rows(rng_points)
         r_fermi = [0.0, 0.2, 0.4, math.pi / 4]
@@ -328,7 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="closed forms vs Fock-space oracle")
     p.add_argument("--tanhr", default="0.1,0.3,0.5,0.7", help="comma list of tanh r points")
     p.add_argument("--trunc", type=int, help="Fock truncation (default fock_oracle.DEFAULT_TRUNC)")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument(
+        "--tol", type=float, default=1e-8,
+        help="gate on |closed form - oracle|, and the largest oracle trace deficit accepted",
+    )
     p.add_argument("--out", required=True, help="comparison CSV path")
     p.set_defaults(func=cmd_oracle_check)
 

@@ -1,9 +1,15 @@
 """Brute-force ground truth in a truncated two-party Fock basis.
 
 Shared Bell resources and post-measurement states are assembled explicitly as
-dense real symmetric matrices; partial transposes, eigenvalues (via the
-Jacobi kernel), negativities and fidelities are then computed numerically
-with no reference to any closed form.
+real symmetric density matrices that store only their non-zero entries;
+partial transposes, eigenvalues (via the Jacobi kernel), negativities and
+fidelities are then computed numerically with no reference to any closed
+form.  The eigensolver never sees the whole matrix: negativity_numeric splits
+the non-zero pattern of the partial transpose into connected components,
+found generically by union-find over the labels, and diagonalises each
+component on its own.  A bosonic state is refused with TruncationError when
+its analytic trace deficit, the probability mass beyond the truncation,
+exceeds the caller's tolerance.
 
 Two negativity pathways exist for the bosonic resource and they do NOT agree:
 
@@ -32,46 +38,61 @@ from bhent.kernels import jacobi_eigh
 
 DEFAULT_TRUNC = 40
 MAX_TRUNC = 200
+# Largest analytic trace deficit the bosonic Bell constructions accept by
+# default; oracle-check passes its own gate (--tol, default 1e-8) instead.
+DEFAULT_MAX_DEFICIT = 1e-8
 
 Label = tuple
 
 
 @dataclass(frozen=True)
 class TruncatedDensityMatrix:
-    """Dense real symmetric matrix with labelled basis states.
+    """Sparse real symmetric matrix with labelled basis states.
 
     basis entries are hashable labels; for two-party states they are
     (party_a, party_b) pairs so the partial transpose can act on party A.
-    trace_deficit is the analytically known probability mass lost to
-    truncation (0 for exact finite constructions).
+    entries maps (label_i, label_j) to the matrix element; absent pairs are
+    zero, and zeros passed in are dropped.  trace_deficit is the
+    analytically known probability mass lost to truncation (0 for exact
+    finite constructions).
     """
 
     basis: tuple[Label, ...]
-    data: np.ndarray
+    entries: dict[tuple[Label, Label], float]
     trace_deficit: float = 0.0
 
     def __post_init__(self) -> None:
-        n = len(self.basis)
-        if self.data.shape != (n, n):
-            raise ContractViolationError(
-                f"matrix shape {self.data.shape} does not match basis of size {n}"
-            )
-        scale = max(float(np.max(np.abs(self.data))), 1.0)
-        asym = float(np.max(np.abs(self.data - self.data.T)))
-        if asym > 1e-14 * scale:
-            raise ContractViolationError(f"density matrix asymmetry {asym}")
-        if float(np.min(np.diag(self.data))) < -1e-14:
-            raise ContractViolationError("negative diagonal entry in density matrix")
+        labels = set(self.basis)
+        if len(labels) != len(self.basis):
+            raise ContractViolationError("basis repeats a label")
+        entries = {key: v for key, v in self.entries.items() if v != 0.0}
+        scale = max(max(map(abs, entries.values()), default=0.0), 1.0)
+        for (i, j), v in entries.items():
+            if i not in labels or j not in labels:
+                raise ContractViolationError(f"entry {(i, j)} has a label outside the basis")
+            if i == j:
+                if v < -1e-14:
+                    raise ContractViolationError("negative diagonal entry in density matrix")
+            else:
+                asym = abs(v - entries.get((j, i), 0.0))
+                if asym > 1e-14 * scale:
+                    raise ContractViolationError(f"density matrix asymmetry {asym} at {(i, j)}")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def index(self, label: Label) -> int:
-        return self.basis.index(label)
-
     def trace(self) -> float:
-        return float(np.trace(self.data))
+        return _diagonal_sum(self.entries)
+
+    def dense(self) -> np.ndarray:
+        """The full matrix in basis order; tests compare it with numpy."""
+        idx = {lbl: k for k, lbl in enumerate(self.basis)}
+        out = np.zeros((self.dim, self.dim))
+        for (i, j), v in self.entries.items():
+            out[idx[i], idx[j]] = v
+        return out
 
 
 @dataclass(frozen=True)
@@ -101,7 +122,19 @@ class DualRailQubit:
             raise PhysicsDomainError(f"measurement outcome must be two bits, got {(i, j)}")
 
 
-def _squeeze_amplitudes(r: float, n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
+def _diagonal_sum(entries: dict) -> float:
+    return math.fsum(v for (i, j), v in entries.items() if i == j)
+
+
+def _add_projector(entries: dict, weight: float, vec: list[tuple[Label, float]]) -> None:
+    """entries += weight |v><v| for v given as (label, amplitude) pairs."""
+    for li, ai in vec:
+        for lj, aj in vec:
+            key = (li, lj)
+            entries[key] = entries.get(key, 0.0) + weight * (ai * aj)
+
+
+def _squeeze_amplitudes(r: float, n_trunc: int) -> tuple[list[float], list[float]]:
     """Expansion coefficients of the logical 0/1 states over region-II occupation n.
 
     c0[n] = tanh^n r / cosh r           (|n>_I |n>_II)
@@ -111,7 +144,7 @@ def _squeeze_amplitudes(r: float, n_trunc: int) -> tuple[np.ndarray, np.ndarray]
     c = math.cosh(r)
     n = np.arange(n_trunc + 1)
     base = t**n
-    return base / c, base * np.sqrt(n + 1) / (c * c)
+    return (base / c).tolist(), (base * np.sqrt(n + 1) / (c * c)).tolist()
 
 
 def _bosonic_trace_deficit(r: float, n_trunc: int) -> float:
@@ -126,37 +159,43 @@ def _bosonic_trace_deficit(r: float, n_trunc: int) -> float:
     return tail_geo / (2.0 * c2) + tail_lin / (2.0 * c2 * c2)
 
 
-def bell_state_bosonic(r: float, n_trunc: int = DEFAULT_TRUNC) -> TruncatedDensityMatrix:
+def _check_truncation(r: float, n_trunc: int, deficit: float, max_deficit: float) -> None:
+    if deficit > max_deficit:
+        raise TruncationError(
+            f"truncation {n_trunc} too small for r={r}: trace deficit {deficit:.3g}"
+            f" exceeds {max_deficit:.3g}"
+        )
+
+
+def _check_bosonic_args(r: float, n_trunc: int) -> None:
+    if r < 0:
+        raise PhysicsDomainError(f"squeezing parameter must be >= 0, got {r}")
+    if not 2 <= n_trunc <= MAX_TRUNC:
+        raise PhysicsDomainError(f"truncation must be in [2, {MAX_TRUNC}], got {n_trunc}")
+
+
+def bell_state_bosonic(
+    r: float, n_trunc: int = DEFAULT_TRUNC, max_deficit: float = DEFAULT_MAX_DEFICIT
+) -> TruncatedDensityMatrix:
     """Bosonic Bell resource after tracing the causally hidden region.
 
     Party A is a qubit, party B a Fock mode truncated at occupation
     n_trunc + 1.  Each hidden-region occupation n contributes a rank-one
     block with entries {1, sqrt(n+1)/cosh r, (n+1)/cosh^2 r} times
-    tanh^(2n) r / (2 cosh^2 r).
+    tanh^(2n) r / (2 cosh^2 r).  Raises TruncationError when the trace
+    deficit exceeds max_deficit.
     """
-    if r < 0:
-        raise PhysicsDomainError(f"squeezing parameter must be >= 0, got {r}")
-    if not 2 <= n_trunc <= MAX_TRUNC:
-        raise PhysicsDomainError(f"truncation must be in [2, {MAX_TRUNC}], got {n_trunc}")
+    _check_bosonic_args(r, n_trunc)
     deficit = _bosonic_trace_deficit(r, n_trunc)
-    if deficit > 0.01:
-        raise TruncationError(
-            f"truncation {n_trunc} too small for r={r}: trace deficit {deficit:.3g}"
-        )
+    _check_truncation(r, n_trunc, deficit, max_deficit)
 
     kmax = n_trunc + 1
     basis = tuple((a, k) for a in (0, 1) for k in range(kmax + 1))
-    dim = len(basis)
-    idx = {lbl: i for i, lbl in enumerate(basis)}
     c0, c1 = _squeeze_amplitudes(r, n_trunc)
-
-    rho = np.zeros((dim, dim))
+    entries: dict = {}
     for n in range(n_trunc + 1):
-        w = np.zeros(dim)
-        w[idx[(0, n)]] = c0[n]
-        w[idx[(1, n + 1)]] = c1[n]
-        rho += 0.5 * np.outer(w, w)
-    return TruncatedDensityMatrix(basis, rho, deficit)
+        _add_projector(entries, 0.5, [((0, n), c0[n]), ((1, n + 1), c1[n])])
+    return TruncatedDensityMatrix(basis, entries, deficit)
 
 
 def bell_block_bosonic(r: float, n: int) -> TruncatedDensityMatrix:
@@ -172,11 +211,14 @@ def bell_block_bosonic(r: float, n: int) -> TruncatedDensityMatrix:
     c = math.cosh(r)
     pref = t ** (2 * n) / (2.0 * c * c)
     basis = ((0, n), (0, n + 1), (1, n), (1, n + 1))
-    m = np.zeros((4, 4))
-    m[0, 0] = 1.0
-    m[0, 3] = m[3, 0] = math.sqrt(n + 1) / c
-    m[3, 3] = (n + 1) / (c * c)
-    return TruncatedDensityMatrix(basis, pref * m, 0.0)
+    off = pref * (math.sqrt(n + 1) / c)
+    entries = {
+        ((0, n), (0, n)): pref,
+        ((0, n), (1, n + 1)): off,
+        ((1, n + 1), (0, n)): off,
+        ((1, n + 1), (1, n + 1)): pref * ((n + 1) / (c * c)),
+    }
+    return TruncatedDensityMatrix(basis, entries, 0.0)
 
 
 def bell_state_fermionic(r: float) -> TruncatedDensityMatrix:
@@ -185,36 +227,80 @@ def bell_state_fermionic(r: float) -> TruncatedDensityMatrix:
         raise PhysicsDomainError(f"fermionic squeezing must be in [0, pi/4], got {r}")
     cr = math.cos(r)
     basis = ((0, 0), (0, 1), (1, 0), (1, 1))
-    m = np.zeros((4, 4))
-    m[0, 0] = cr * cr
-    m[1, 1] = math.sin(r) ** 2
-    m[0, 3] = m[3, 0] = cr
-    m[3, 3] = 1.0
-    return TruncatedDensityMatrix(basis, 0.5 * m, 0.0)
+    entries = {
+        ((0, 0), (0, 0)): 0.5 * (cr * cr),
+        ((0, 1), (0, 1)): 0.5 * math.sin(r) ** 2,
+        ((0, 0), (1, 1)): 0.5 * cr,
+        ((1, 1), (0, 0)): 0.5 * cr,
+        ((1, 1), (1, 1)): 0.5,
+    }
+    return TruncatedDensityMatrix(basis, entries, 0.0)
 
 
 def partial_transpose(rho: TruncatedDensityMatrix) -> TruncatedDensityMatrix:
     """Transpose party A's indices: <a,b|rho^T|a',b'> = <a',b|rho|a,b'>.
 
     An involution that preserves trace and Frobenius norm.  Requires the
-    label set to be closed under swapping the party-A components.
+    label set to be closed under swapping the party-A components, that is,
+    to be the product of its party-A and party-B labels.
     """
-    idx = {lbl: i for i, lbl in enumerate(rho.basis)}
-    out = np.empty_like(rho.data)
-    for (a, b), i in idx.items():
-        for (a2, b2), j in idx.items():
-            try:
-                out[i, j] = rho.data[idx[(a2, b)], idx[(a, b2)]]
-            except KeyError:
-                raise ContractViolationError(
-                    f"basis not closed under partial transpose: missing {(a2, b)} or {(a, b2)}"
-                )
-    return TruncatedDensityMatrix(rho.basis, out, rho.trace_deficit)
+    party_a = dict.fromkeys(a for a, _ in rho.basis)
+    party_b = dict.fromkeys(b for _, b in rho.basis)
+    if len(party_a) * len(party_b) != rho.dim:
+        labels = set(rho.basis)
+        missing = next((a, b) for a in party_a for b in party_b if (a, b) not in labels)
+        raise ContractViolationError(
+            f"basis not closed under partial transpose: missing {missing}"
+        )
+    entries = {((a2, b), (a, b2)): v for ((a, b), (a2, b2)), v in rho.entries.items()}
+    return TruncatedDensityMatrix(rho.basis, entries, rho.trace_deficit)
 
 
-def eigenvalues_symmetric(matrix: np.ndarray, vectors: bool = False):
+def eigenvalues_symmetric(matrix, vectors: bool = False):
     """Sorted eigenvalues of a real symmetric matrix via cyclic Jacobi."""
     return jacobi_eigh(matrix, vectors=vectors) if vectors else jacobi_eigh(matrix)[0]
+
+
+def connected_blocks(rho: TruncatedDensityMatrix) -> list[list[Label]]:
+    """Connected components of the non-zero pattern, each in basis order.
+
+    Union-find over the labels of the stored entries; labels with no entry
+    (zero rows) belong to no block.
+    """
+    parent: dict[Label, Label] = {}
+
+    def find(x: Label) -> Label:
+        root = parent.setdefault(x, x)
+        while root != parent[root]:
+            parent[root] = parent[parent[root]]
+            root = parent[root]
+        return root
+
+    for i, j in rho.entries:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+    blocks: dict[Label, list[Label]] = {}
+    for lbl in rho.basis:
+        if lbl in parent:
+            blocks.setdefault(find(lbl), []).append(lbl)
+    return list(blocks.values())
+
+
+def spectrum(rho: TruncatedDensityMatrix) -> list[float]:
+    """All eigenvalues in ascending order, one Jacobi solve per connected block.
+
+    A single-label block is its own eigenvalue; zero rows give zeros.
+    """
+    eig: list[float] = []
+    for block in connected_blocks(rho):
+        if len(block) == 1:
+            eig.append(rho.entries[(block[0], block[0])])
+        else:
+            m = [[rho.entries.get((i, j), 0.0) for j in block] for i in block]
+            eig.extend(eigenvalues_symmetric(m).tolist())
+    eig.extend([0.0] * (rho.dim - len(eig)))
+    return sorted(eig)
 
 
 @dataclass(frozen=True)
@@ -225,30 +311,33 @@ class NumericNegativity:
 
 def negativity_numeric(rho: TruncatedDensityMatrix) -> NumericNegativity:
     """Full-spectrum negativity: N = sum (|lambda| - lambda)/2 over the PPT spectrum."""
-    eig = eigenvalues_symmetric(partial_transpose(rho).data)
-    n_val = float(np.sum((np.abs(eig) - eig) / 2.0))
+    n_val = math.fsum((abs(e) - e) / 2.0 for e in spectrum(partial_transpose(rho)))
     return NumericNegativity(n_val, math.log2(2.0 * n_val + 1.0))
 
 
-def blockwise_negativity_bosonic(r: float, n_blocks: int = DEFAULT_TRUNC) -> NumericNegativity:
+def blockwise_negativity_bosonic(
+    r: float, n_blocks: int = DEFAULT_TRUNC, max_deficit: float = DEFAULT_MAX_DEFICIT
+) -> NumericNegativity:
     """Negativity from the isolated excitation-sector blocks.
 
     Diagonalises the partial transpose of each bell_block_bosonic(r, n)
     separately and sums the negative eigenvalues.  This matrix construction
     is what the closed-form eigenvalue family and series describe; it differs
     from the full-spectrum value of negativity_numeric (see module docstring).
+    The omitted blocks' negativity is bounded by the Bell resource's trace
+    deficit at truncation n_blocks, so TruncationError is raised when that
+    deficit exceeds max_deficit.
     """
+    _check_truncation(r, n_blocks, _bosonic_trace_deficit(r, n_blocks), max_deficit)
     total = 0.0
     for n in range(n_blocks + 1):
-        eig = eigenvalues_symmetric(partial_transpose(bell_block_bosonic(r, n)).data)
-        total += float(np.sum((np.abs(eig) - eig) / 2.0))
+        total += negativity_numeric(bell_block_bosonic(r, n)).negativity
     return NumericNegativity(total, math.log2(2.0 * total + 1.0))
 
 
 def blockwise_negative_eigenvalue(r: float, n: int) -> float:
     """Most negative eigenvalue of the isolated n-th PPT sector block."""
-    eig = eigenvalues_symmetric(partial_transpose(bell_block_bosonic(r, n)).data)
-    return float(eig[0])
+    return spectrum(partial_transpose(bell_block_bosonic(r, n)))[0]
 
 
 def bob_post_state_bosonic(
@@ -262,20 +351,16 @@ def bob_post_state_bosonic(
     The conditioned logical state x|0> + y|1> is written in dual-rail form,
     each of the receiver's two cavity modes is expanded through the two-mode
     squeezing relation, and the hidden region is traced out.  Basis labels
-    are (k1, k2) occupation pairs of the two observable modes.
+    are (k1, k2) occupation pairs of the two observable modes; at most
+    4 (n_trunc+1)^2 entries are non-zero.
     """
-    if r < 0:
-        raise PhysicsDomainError(f"squeezing parameter must be >= 0, got {r}")
-    if not 2 <= n_trunc <= MAX_TRUNC:
-        raise PhysicsDomainError(f"truncation must be in [2, {MAX_TRUNC}], got {n_trunc}")
+    _check_bosonic_args(r, n_trunc)
     x, y = qubit.conditional(*outcome)
     c0, c1 = _squeeze_amplitudes(r, n_trunc)
 
     kmax = n_trunc + 1
     basis = tuple((k1, k2) for k1 in range(kmax + 1) for k2 in range(kmax + 1))
-    idx = {lbl: i for i, lbl in enumerate(basis)}
-    dim = len(basis)
-    rho = np.zeros((dim, dim))
+    entries: dict = {}
     # Hidden-region occupations (n1, n2) are orthogonal, so each pair
     # contributes a rank-one projector onto
     #   x c1[n1] c0[n2] |n1+1, n2>  +  y c0[n1] c1[n2] |n1, n2+1>.
@@ -283,18 +368,12 @@ def bob_post_state_bosonic(
         for n2 in range(n_trunc + 1):
             amp_x = x * c1[n1] * c0[n2]
             amp_y = y * c0[n1] * c1[n2]
-            i = idx[(n1 + 1, n2)]
-            j = idx[(n1, n2 + 1)]
-            rho[i, i] += amp_x * amp_x
-            rho[j, j] += amp_y * amp_y
-            rho[i, j] += amp_x * amp_y
-            rho[j, i] += amp_x * amp_y
-    deficit = 1.0 - float(np.trace(rho))
-    if deficit > 0.01:
-        raise TruncationError(
-            f"truncation {n_trunc} too small for r={r}: trace deficit {deficit:.3g}"
-        )
-    return TruncatedDensityMatrix(basis, rho, deficit)
+            _add_projector(entries, 1.0, [((n1 + 1, n2), amp_x), ((n1, n2 + 1), amp_y)])
+    deficit = 1.0 - _diagonal_sum(entries)
+    # Looser than the Bell-state gate: the dual-rail fidelity reads only the
+    # n1 = n2 = 0 terms, which the truncation never removes.
+    _check_truncation(r, n_trunc, deficit, 0.01)
+    return TruncatedDensityMatrix(basis, entries, deficit)
 
 
 def bob_post_state_fermionic(
@@ -309,25 +388,27 @@ def bob_post_state_fermionic(
         raise PhysicsDomainError(f"fermionic squeezing must be in [0, pi/4], got {r}")
     x, y = qubit.conditional(*outcome)
     basis = ((0, 0), (0, 1), (1, 0), (1, 1))
-    phi = np.array([0.0, y, x, 0.0])
-    rho = math.cos(r) ** 2 * np.outer(phi, phi)
-    rho[3, 3] += math.sin(r) ** 2
-    return TruncatedDensityMatrix(basis, rho, 0.0)
+    entries: dict = {}
+    _add_projector(entries, math.cos(r) ** 2, [((0, 1), y), ((1, 0), x)])
+    entries[((1, 1), (1, 1))] = math.sin(r) ** 2
+    return TruncatedDensityMatrix(basis, entries, 0.0)
 
 
 def fidelity_numeric(rho: TruncatedDensityMatrix, target: dict[Label, float]) -> float:
-    """<psi|rho|psi> for a normalised target state given as {label: amplitude}."""
-    vec = np.zeros(rho.dim)
-    idx = {lbl: i for i, lbl in enumerate(rho.basis)}
-    for lbl, amp in target.items():
-        try:
-            vec[idx[lbl]] = amp
-        except KeyError:
+    """<psi|rho|psi> for a normalised target state given as {label: amplitude}.
+
+    Only the entries between the target's own labels are read, in basis order.
+    """
+    for lbl in target:
+        if lbl not in rho.basis:
             raise PhysicsDomainError(f"target label {lbl} not in the state's basis")
+    labels = sorted(target, key=rho.basis.index)
+    vec = np.array([target[lbl] for lbl in labels], dtype=float)
     norm = float(vec @ vec)
     if abs(norm - 1.0) > 1e-12:
         raise PhysicsDomainError(f"target state not normalised: |psi|^2 = {norm}")
-    return float(vec @ rho.data @ vec)
+    sub = np.array([[rho.entries.get((i, j), 0.0) for j in labels] for i in labels])
+    return float(vec @ sub @ vec)
 
 
 def dual_rail_target(x: float, y: float) -> dict[Label, float]:

@@ -35,8 +35,12 @@ class ModeSpec:
     statistics: str = BOSON
 
     def __post_init__(self) -> None:
-        if self.omega <= 0:
-            raise PhysicsDomainError(f"mode frequency must be positive, got {self.omega}")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise PhysicsDomainError(
+                f"mode frequency must be finite and positive, got {self.omega}"
+            )
+        if not math.isfinite(self.m):
+            raise PhysicsDomainError(f"azimuthal number must be finite, got {self.m}")
         if self.statistics not in (BOSON, FERMION):
             raise PhysicsDomainError(f"unknown statistics {self.statistics!r}")
 
@@ -76,10 +80,13 @@ class SqueezingParams:
 
 
 def _check_ratio(omega_eff: float, kappa: float) -> float:
-    if omega_eff <= 0:
-        raise PhysicsDomainError(f"effective frequency must be positive, got {omega_eff}")
-    if kappa <= 0:
-        raise PhysicsDomainError(f"surface gravity must be positive, got {kappa}")
+    """x = pi omega_eff / kappa for finite, positive omega_eff and kappa."""
+    if not (math.isfinite(omega_eff) and omega_eff > 0):
+        raise PhysicsDomainError(
+            f"effective frequency must be finite and positive, got {omega_eff}"
+        )
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise PhysicsDomainError(f"surface gravity must be finite and positive, got {kappa}")
     return math.pi * omega_eff / kappa
 
 

@@ -84,7 +84,7 @@ def test_ac04_eigenvalue_formulas():
         )
         rf = float(rng.uniform(0.0, math.pi / 4))
         pt = fock_oracle.partial_transpose(fock_oracle.bell_state_fermionic(rf))
-        eig = fock_oracle.eigenvalues_symmetric(pt.data)
+        eig = fock_oracle.eigenvalues_symmetric(pt.dense())
         diff_f = abs(float(eig[0]) + math.cos(rf) ** 2 / 2.0)
         worst = max(worst, diff_b, diff_f)
     ok = worst < 1e-10

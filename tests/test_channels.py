@@ -59,6 +59,25 @@ class TestBosonicNegativity:
             channels.log_negativity_boson(0.5, tol=0.5)
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: channels.log_negativity_boson(math.nan),
+            lambda: channels.log_negativity_boson(math.inf),
+            lambda: channels.neg_eigenvalue_boson(math.nan, 0),
+            lambda: channels.neg_eigenvalue_boson(0.5, math.inf),
+            lambda: channels.fidelity_boson(math.nan, 1.0),
+            lambda: channels.fidelity_boson(1.0, math.inf),
+        ],
+        ids=["E_N-r-nan", "E_N-r-inf", "lambda-r-nan", "lambda-n-inf", "F-omega-nan",
+             "F-kappa-inf"],
+    )
+    def test_rejected_at_entry(self, call):
+        with pytest.raises(PhysicsDomainError, match="finite"):
+            call()
+
+
 class TestBosonicEigenvalues:
     def test_first_block(self):
         # lambda_0 = -(1 - t^2)^{3/2} / 2

@@ -7,6 +7,16 @@ from bhent import channels, fock_oracle
 from bhent.errors import ContractViolationError, PhysicsDomainError, TruncationError
 
 
+def _entries(basis, matrix):
+    """{(label_i, label_j): value} map of a dense matrix in basis order."""
+    return {
+        (li, lj): float(matrix[i, j])
+        for i, li in enumerate(basis)
+        for j, lj in enumerate(basis)
+        if matrix[i, j] != 0.0
+    }
+
+
 class TestBellStateBosonic:
     @pytest.mark.parametrize("tanh_r", [0.0, 0.3, 0.7])
     def test_trace_plus_deficit_is_one(self, tanh_r):
@@ -16,11 +26,10 @@ class TestBellStateBosonic:
     def test_zero_squeezing_is_bell_projector(self):
         rho = fock_oracle.bell_state_bosonic(0.0, 4)
         # only |0,0> and |1,1> carry weight, each 1/2, with coherence 1/2
-        i00 = rho.index((0, 0))
-        i11 = rho.index((1, 1))
-        assert rho.data[i00, i00] == pytest.approx(0.5, abs=1e-15)
-        assert rho.data[i11, i11] == pytest.approx(0.5, abs=1e-15)
-        assert rho.data[i00, i11] == pytest.approx(0.5, abs=1e-15)
+        entries = rho.entries
+        assert entries[((0, 0), (0, 0))] == pytest.approx(0.5, abs=1e-15)
+        assert entries[((1, 1), (1, 1))] == pytest.approx(0.5, abs=1e-15)
+        assert entries[((0, 0), (1, 1))] == pytest.approx(0.5, abs=1e-15)
         assert rho.trace() == pytest.approx(1.0, abs=1e-15)
 
     def test_truncation_error_surfaces(self):
@@ -39,21 +48,23 @@ class TestPartialTranspose:
         rho = fock_oracle.bell_state_bosonic(0.4, 10)
         pt = fock_oracle.partial_transpose(rho)
         back = fock_oracle.partial_transpose(pt)
-        assert np.max(np.abs(back.data - rho.data)) < 1e-15
-        assert np.trace(pt.data) == pytest.approx(np.trace(rho.data), abs=1e-14)
-        assert np.linalg.norm(pt.data) == pytest.approx(np.linalg.norm(rho.data), rel=1e-14)
+        assert np.max(np.abs(back.dense() - rho.dense())) < 1e-15
+        assert np.trace(pt.dense()) == pytest.approx(np.trace(rho.dense()), abs=1e-14)
+        assert np.linalg.norm(pt.dense()) == pytest.approx(
+            np.linalg.norm(rho.dense()), rel=1e-14
+        )
 
     def test_bell_projector_spectrum(self):
         # PPT eigenvalues of a maximally entangled 2-qubit pair: {-1/2, 1/2 x3}
         basis = ((0, 0), (0, 1), (1, 0), (1, 1))
         vec = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
-        rho = fock_oracle.TruncatedDensityMatrix(basis, np.outer(vec, vec))
-        eig = fock_oracle.eigenvalues_symmetric(fock_oracle.partial_transpose(rho).data)
+        rho = fock_oracle.TruncatedDensityMatrix(basis, _entries(basis, np.outer(vec, vec)))
+        eig = fock_oracle.eigenvalues_symmetric(fock_oracle.partial_transpose(rho).dense())
         assert np.allclose(np.sort(eig), [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     def test_open_basis_rejected(self):
         basis = ((0, 0), (1, 1))  # (1, 0) and (0, 1) missing
-        rho = fock_oracle.TruncatedDensityMatrix(basis, np.eye(2) / 2.0)
+        rho = fock_oracle.TruncatedDensityMatrix(basis, _entries(basis, np.eye(2) / 2.0))
         with pytest.raises(ContractViolationError):
             fock_oracle.partial_transpose(rho)
 
@@ -106,7 +117,7 @@ class TestFermionicOracle:
     @pytest.mark.parametrize("r", [0.0, 0.2, 0.5, math.pi / 4])
     def test_negative_eigenvalue_is_minus_half_cos_squared(self, r):
         pt = fock_oracle.partial_transpose(fock_oracle.bell_state_fermionic(r))
-        eig = fock_oracle.eigenvalues_symmetric(pt.data)
+        eig = fock_oracle.eigenvalues_symmetric(pt.dense())
         assert eig[0] == pytest.approx(-math.cos(r) ** 2 / 2.0, abs=1e-12)
 
     def test_fidelity_amplitude_independent(self):
@@ -161,6 +172,111 @@ class TestBosonicTeleportation:
         assert abs(vals[1] - vals[0]) < 1e-10
 
 
+class TestSparseAssembly:
+    """The map representation against dense numpy references."""
+
+    def test_partial_transpose_matches_dense_loop(self):
+        rho = fock_oracle.bell_state_bosonic(math.atanh(0.3), 12)
+        dense = rho.dense()
+        idx = {lbl: k for k, lbl in enumerate(rho.basis)}
+        ref = np.empty_like(dense)
+        for (a, b), i in idx.items():
+            for (a2, b2), j in idx.items():
+                ref[i, j] = dense[idx[(a2, b)], idx[(a, b2)]]
+        assert np.array_equal(fock_oracle.partial_transpose(rho).dense(), ref)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: fock_oracle.partial_transpose(
+                fock_oracle.bell_state_bosonic(math.atanh(0.5), 20)
+            ),
+            lambda: fock_oracle.bob_post_state_bosonic(
+                math.atanh(0.3), fock_oracle.DualRailQubit(0.6, 0.8), (1, 0), 8
+            ),
+        ],
+        ids=["bell-ppt", "post-state"],
+    )
+    def test_blockwise_spectrum_matches_lapack(self, build):
+        rho = build()
+        ref = np.linalg.eigvalsh(rho.dense())
+        assert np.allclose(fock_oracle.spectrum(rho), ref, rtol=0.0, atol=1e-14)
+
+    def test_negativity_matches_dense_spectrum(self):
+        rho = fock_oracle.bell_state_bosonic(math.atanh(0.7), 40)
+        eig = np.linalg.eigvalsh(fock_oracle.partial_transpose(rho).dense())
+        ref = float(np.sum((np.abs(eig) - eig) / 2.0))
+        assert fock_oracle.negativity_numeric(rho).negativity == pytest.approx(ref, abs=1e-14)
+
+    def test_blocks_are_connected_components(self):
+        # a-b and b-c chain into one block; d stands alone; e has no entry
+        basis = ("a", "b", "c", "d", "e")
+        entries = {("a", "a"): 1.0, ("c", "c"): 1.0, ("d", "d"): 1.0}
+        for i, j in (("a", "b"), ("c", "b")):
+            entries[(i, j)] = entries[(j, i)] = 0.25
+        rho = fock_oracle.TruncatedDensityMatrix(basis, entries)
+        assert fock_oracle.connected_blocks(rho) == [["a", "b", "c"], ["d"]]
+        assert len(fock_oracle.spectrum(rho)) == 5
+
+    def test_blocks_of_the_oracle_states(self):
+        r = math.atanh(0.5)
+        ppt = fock_oracle.partial_transpose(fock_oracle.bell_state_bosonic(r, 40))
+        widths = [len(b) for b in fock_oracle.connected_blocks(ppt)]
+        assert (len(widths), max(widths)) == (43, 2)
+        post = fock_oracle.bob_post_state_bosonic(
+            r, fock_oracle.DualRailQubit(0.6, 0.8), (0, 0), 40
+        )
+        blocks = fock_oracle.connected_blocks(post)
+        # found without being told: one block per total excitation k1 + k2
+        totals = [{k1 + k2 for k1, k2 in block} for block in blocks]
+        assert all(len(t) == 1 for t in totals)
+        assert sorted(t.pop() for t in totals) == list(range(1, 82))
+        assert max(len(b) for b in blocks) == 42
+
+    def test_zero_entries_are_not_stored(self):
+        rho = fock_oracle.bell_state_bosonic(0.0, 10)
+        assert set(rho.entries) == {
+            ((0, 0), (0, 0)), ((0, 0), (1, 1)), ((1, 1), (0, 0)), ((1, 1), (1, 1))
+        }
+
+    def test_repeated_basis_label_rejected(self):
+        with pytest.raises(ContractViolationError):
+            fock_oracle.TruncatedDensityMatrix(((0, 0), (0, 0)), {((0, 0), (0, 0)): 1.0})
+
+
+class TestTruncationCertificate:
+    """The oracle refuses a truncation whose trace deficit exceeds the gate."""
+
+    R = math.atanh(0.9)  # trace deficit 8.7e-4 at truncation 40
+
+    def test_bell_state_refuses_deficit_above_tolerance(self):
+        with pytest.raises(TruncationError, match="trace deficit"):
+            fock_oracle.bell_state_bosonic(self.R, 40)
+        rho = fock_oracle.bell_state_bosonic(self.R, 40, max_deficit=1e-3)
+        assert rho.trace_deficit == pytest.approx(8.66e-4, rel=1e-3)
+
+    def test_blockwise_refuses_deficit_above_tolerance(self):
+        with pytest.raises(TruncationError, match="trace deficit"):
+            fock_oracle.blockwise_negativity_bosonic(self.R, 40)
+        fock_oracle.blockwise_negativity_bosonic(self.R, 40, max_deficit=1e-3)
+
+
+class TestMaxTrunc:
+    def test_oracle_runs_at_max_trunc(self):
+        n = fock_oracle.MAX_TRUNC
+        r = math.atanh(0.9)
+        qubit = fock_oracle.DualRailQubit(0.6, 0.8)
+        post = fock_oracle.bob_post_state_bosonic(r, qubit, (0, 0), n)
+        # the memory proxy: O(n^2) stored entries, not (n+2)^4
+        assert len(post.entries) <= 4 * (n + 1) ** 2
+        x, y = qubit.conditional(0, 0)
+        fid = fock_oracle.fidelity_numeric(post, fock_oracle.dual_rail_target(x, y))
+        assert fid == pytest.approx((1.0 - math.tanh(r) ** 2) ** 3, abs=1e-14)  # cosh^-6 r
+        full = fock_oracle.negativity_numeric(fock_oracle.bell_state_bosonic(r, n))
+        block = fock_oracle.blockwise_negativity_bosonic(r, n)
+        assert 0.0 < full.log_negativity < block.log_negativity
+
+
 class TestHelpers:
     def test_qubit_normalisation(self):
         with pytest.raises(PhysicsDomainError):
@@ -177,8 +293,10 @@ class TestHelpers:
 
     def test_density_matrix_contracts(self):
         with pytest.raises(ContractViolationError):
-            fock_oracle.TruncatedDensityMatrix(((0, 0),), np.zeros((2, 2)))
+            # a stored label outside the basis
+            fock_oracle.TruncatedDensityMatrix(((0, 0),), {((1, 1), (1, 1)): 1.0})
         with pytest.raises(ContractViolationError):
+            basis = ((0, 0), (1, 1))
             fock_oracle.TruncatedDensityMatrix(
-                ((0, 0), (1, 1)), np.array([[1.0, 1.0], [0.0, 1.0]])
+                basis, _entries(basis, np.array([[1.0, 1.0], [0.0, 1.0]]))
             )

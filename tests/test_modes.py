@@ -13,6 +13,13 @@ class TestModeSpec:
         with pytest.raises(PhysicsDomainError):
             modes.ModeSpec(1.0, 0, "anyon")
 
+    @pytest.mark.parametrize(
+        "omega, m", [(math.nan, 0), (math.inf, 0), (1.0, math.inf)], ids=["nan", "inf", "m-inf"]
+    )
+    def test_non_finite_rejected(self, omega, m):
+        with pytest.raises(PhysicsDomainError, match="finite"):
+            modes.ModeSpec(omega, m)
+
     def test_effective_frequency(self):
         mode = modes.ModeSpec(1.0, 2, modes.BOSON)
         assert modes.effective_frequency(mode, 0.3) == pytest.approx(0.4, rel=1e-15)
@@ -112,3 +119,18 @@ class TestDomainErrors:
             modes.occupation(1.0, -2.0, modes.BOSON)
         with pytest.raises(PhysicsDomainError):
             modes.squeeze(1.0, 1.0, "anyon")
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: modes.squeeze(1.0, math.inf, modes.BOSON),
+            lambda: modes.squeeze(math.nan, 1.0, modes.FERMION),
+            lambda: modes.occupation(1.0, math.nan, modes.BOSON),
+            lambda: modes.occupation(math.inf, 1.0, modes.FERMION),
+        ],
+        ids=["squeeze-kappa-inf", "squeeze-omega-nan", "occupation-kappa-nan",
+             "occupation-omega-inf"],
+    )
+    def test_non_finite_inputs(self, call):
+        with pytest.raises(PhysicsDomainError, match="finite"):
+            call()

@@ -213,6 +213,24 @@ class TestExitCodes:
         assert rc == 5
         assert "trace deficit" in capsys.readouterr().err
 
+    def test_oracle_truncation_is_not_a_mismatch(self, tmp_path, capsys):
+        # the oracle's own trace deficit at trunc 40 (8.7e-4) is above the gate
+        rc = cli.main(
+            ["oracle-check", "--tanhr", "0.9", "--trunc", "40",
+             "--out", str(tmp_path / "oc.csv")]
+        )
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncation 40 too small") and "trace deficit" in err
+        assert "MISMATCH" not in err
+
+    def test_oracle_check_certified_at_high_squeezing(self, tmp_path):
+        rc = cli.main(
+            ["oracle-check", "--tanhr", "0.9", "--trunc", "140",
+             "--out", str(tmp_path / "oc.csv")]
+        )
+        assert rc == 0
+
     def test_oracle_check_passes(self, tmp_path):
         rc = cli.main(
             ["oracle-check", "--tanhr", "0.2,0.5", "--trunc", "40",
