@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath
 import pytest
 
 from bhent import channels, modes
@@ -57,6 +59,54 @@ class TestBosonicNegativity:
             channels.log_negativity_boson(-0.1)
         with pytest.raises(PhysicsDomainError):
             channels.log_negativity_boson(0.5, tol=0.5)
+        with pytest.raises(PhysicsDomainError):
+            channels.log_negativity_boson(0.5, tol=channels.MIN_SERIES_TOL / 10.0)
+
+
+class TestLiHalfExpansion:
+    """S(t) = Li_{-1/2}(t)/t from the expansion about t = 1, t >= _EXPANSION_SWITCH."""
+
+    T_S = channels._EXPANSION_SWITCH
+
+    def test_matches_mpmath(self):
+        rng = random.Random(2026)
+        ts = [self.T_S, 1.0 - 1e-12]
+        ts += [self.T_S + (0.1 - 1e-12) * rng.random() for _ in range(100)]
+        ts += [1.0 - 10.0 ** rng.uniform(-12.0, -1.0) for _ in range(100)]
+        with mpmath.workdps(30):
+            for t in ts:
+                s, _, _ = channels._li_half_over_t(t, channels.MIN_SERIES_TOL)
+                ref = mpmath.polylog(-0.5, t) / t
+                assert abs(s - ref) <= 1e-14 * ref, t
+
+    def test_continuous_across_switch(self):
+        below = math.nextafter(self.T_S, 0.0)
+        s_lo, terms_lo, _ = channels._li_half_over_t(below, 1e-15)
+        s_hi, terms_hi, _ = channels._li_half_over_t(self.T_S, 1e-15)
+        # the direct series ran below the switch, the expansion at it
+        assert terms_lo > len(channels._ZETA_NEG_HALF) >= terms_hi
+        e_lo = math.log2(1.0 + s_lo * (1.0 - below) ** 1.5)
+        e_hi = math.log2(1.0 + s_hi * (1.0 - self.T_S) ** 1.5)
+        assert abs(e_hi - e_lo) < 1e-12
+
+    def test_tail_bound_certifies(self):
+        r = math.atanh(math.sqrt(0.95))
+        loose = channels.log_negativity_boson(r, 1e-4)
+        tight = channels.log_negativity_boson(r, 1e-13)
+        assert abs(loose.value - tight.value) <= loose.tail_bound / math.log(2.0) + 1e-15
+        assert 1 <= loose.terms_used < tight.terms_used <= len(channels._ZETA_NEG_HALF)
+
+    def test_table_reaches_min_tol(self):
+        # t = T_S is the worst point: |mu| and (1-t)^{3/2} are largest there
+        _, terms, tail = channels._li_half_over_t(self.T_S, channels.MIN_SERIES_TOL)
+        assert terms <= len(channels._ZETA_NEG_HALF)
+        assert 0.0 <= tail < channels.MIN_SERIES_TOL
+
+    def test_zeta_bound_holds_for_table(self):
+        for k, zeta in enumerate(channels._ZETA_NEG_HALF):
+            bound = (channels._ZETA_BOUND_0 * math.gamma(k + 1.5) / math.gamma(1.5)
+                     / (2.0 * math.pi) ** k)
+            assert abs(zeta) <= bound, k
 
 
 class TestNonFiniteInputs:
@@ -96,6 +146,12 @@ class TestBosonicEigenvalues:
     def test_zero_squeezing(self):
         assert channels.neg_eigenvalue_boson(0.0, 0) == -0.5
         assert channels.neg_eigenvalue_boson(0.0, 3) == 0.0
+
+    def test_block_index_must_be_integral(self):
+        for n in (1.5, 0.5, -1):
+            with pytest.raises(PhysicsDomainError, match="integer"):
+                channels.neg_eigenvalue_boson(0.5, n)
+        assert channels.neg_eigenvalue_boson(0.5, 2.0) == channels.neg_eigenvalue_boson(0.5, 2)
 
 
 class TestFermionicChannel:

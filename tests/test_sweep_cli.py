@@ -231,6 +231,17 @@ class TestExitCodes:
         )
         assert rc == 0
 
+    def test_oracle_cross_checks_expansion_branch(self, tmp_path, capsys):
+        # tanh^2 r = 0.9025 is evaluated by the Li_{-1/2} expansion about t = 1
+        argv = ["oracle-check", "--tanhr", "0.95", "--trunc", "200",
+                "--out", str(tmp_path / "oc.csv")]
+        assert cli.main(argv + ["--tol", "1e-6"]) == 0
+        # at a tighter gate trunc 200 itself is too small (deficit 1.2e-8)
+        assert cli.main(argv + ["--tol", "1e-8"]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncation 200 too small") and "trace deficit" in err
+        assert "MISMATCH" not in err
+
     def test_oracle_check_passes(self, tmp_path):
         rc = cli.main(
             ["oracle-check", "--tanhr", "0.2,0.5", "--trunc", "40",
@@ -310,22 +321,37 @@ class TestExitCodes:
 
 
 def test_cli_import_loads_neither_scipy_nor_numpy(tmp_path):
+    # numpy loads only with oracle-check; mpmath never, near the horizon included
     code = (
         "import sys\n"
         "import bhent.cli\n"
-        "print(sorted(m for m in ('scipy', 'numpy', 'mpmath') if m in sys.modules))\n"
+        "from bhent import sweep\n"
+        "def loaded():\n"
+        "    return sorted(m for m in ('scipy', 'numpy', 'mpmath') if m in sys.modules)\n"
+        "print('import', loaded())\n"
+        "rc = bhent.cli.main(['entangle', '--kappa', '1', '--omega', '1e-4'])\n"
+        "spec = sweep.SweepSpec(axes=(sweep.Axis('omega', 1e-6, 1e-2, 9, 'log'),),\n"
+        "                       fixed={'d': 4, 'r_h': 1.0, 'statistics': 'boson'},\n"
+        "                       outputs=('E_N',))\n"
+        "sweep.run_sweep(spec, sys.argv[2])\n"
+        "print('near-horizon', rc, loaded())\n"
         "rc = bhent.cli.main(['oracle-check', '--tanhr', '0.2,0.5', '--out', sys.argv[1]])\n"
-        "print(rc)\n"
+        "print('oracle-check', rc, loaded())\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bhent.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "oc.csv")],
+        [sys.executable, "-c", code, str(tmp_path / "oc.csv"), str(tmp_path / "nh.csv")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded, rc = proc.stdout.splitlines()[0], proc.stdout.splitlines()[-1]
-    assert loaded == "[]"
-    assert rc == "0"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "import []"
+    assert "near-horizon 0 []" in lines
+    assert lines[-1] == "oracle-check 0 ['numpy']"
+    # the first cell, omega = 1e-6, has tanh^2 r = 1 - 1.3e-5 and gets a value
+    with open(tmp_path / "nh.csv", encoding="utf-8") as fh:
+        first = fh.read().splitlines()[1]
+    assert not first.split(",")[1].startswith("NA")
 
 
 class TestEnvTolerance:
