@@ -103,10 +103,7 @@ def log_negativity_boson(r: float, tol: float = DEFAULT_SERIES_TOL) -> Negativit
     [MIN_SERIES_TOL, 1e-3].
     """
     _check_boson_r(r)
-    if not MIN_SERIES_TOL <= tol <= 1e-3:
-        raise PhysicsDomainError(
-            f"series tolerance must be in [{MIN_SERIES_TOL:g}, 1e-3], got {tol}"
-        )
+    check_series_tol(tol)
     t = math.tanh(r) ** 2
     if t >= 1.0:
         # fp limit tanh r == 1: closed-form series limit log2(1 + Gamma(3/2))
@@ -187,6 +184,14 @@ def fidelity_fermion(r: float | modes.SqueezingParams) -> float:
         return r.cos_r * r.cos_r
     _check_fermion_r(r)
     return math.cos(r) ** 2
+
+
+def check_series_tol(tol: float) -> None:
+    """Reject a series tolerance outside [MIN_SERIES_TOL, 1e-3] (or nan)."""
+    if not MIN_SERIES_TOL <= tol <= 1e-3:
+        raise PhysicsDomainError(
+            f"series tolerance must be in [{MIN_SERIES_TOL:g}, 1e-3], got {tol}"
+        )
 
 
 def _check_boson_r(r: float) -> None:

@@ -208,7 +208,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    # The oracle needs numpy; importing it here keeps it off every other command's path.
+    # Imported here so that no other command loads the oracle and its report.
     from bhent import fock_oracle, reports
 
     trunc = fock_oracle.DEFAULT_TRUNC if args.trunc is None else args.trunc
@@ -224,8 +224,7 @@ def cmd_oracle_check(args) -> int:
         rows = reports.negativity_rows(tanh_values, trunc, tol)
         rng_points = [(0.1 + 0.05 * k, k % 6) for k in range(12)]
         rows += reports.eigenvalue_rows(rng_points)
-        r_fermi = [0.0, 0.2, 0.4, math.pi / 4]
-        rows += reports.fermion_rows(r_fermi)
+        rows += reports.fermion_rows()
         rows += reports.fidelity_boson_rows([math.log(2.0), 1.5, 3.0], trunc)
     except TruncationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,8 +7,9 @@ fidelities are then computed numerically with no reference to any closed
 form.  The eigensolver never sees the whole matrix: negativity_numeric splits
 the non-zero pattern of the partial transpose into connected components,
 found generically by union-find over the labels, and diagonalises each
-component on its own.  A bosonic state is refused with TruncationError when
-its analytic trace deficit, the probability mass beyond the truncation,
+component on its own with kernels.jacobi_eigh.  Everything is plain Python
+on floats, lists and dicts.  A bosonic state is refused with TruncationError
+when its analytic trace deficit, the probability mass beyond the truncation,
 exceeds the caller's tolerance.
 
 Two negativity pathways exist for the bosonic resource and they do NOT agree:
@@ -30,8 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
 
 from bhent.errors import ContractViolationError, PhysicsDomainError, TruncationError
 from bhent.kernels import jacobi_eigh
@@ -86,14 +86,6 @@ class TruncatedDensityMatrix:
     def trace(self) -> float:
         return _diagonal_sum(self.entries)
 
-    def dense(self) -> np.ndarray:
-        """The full matrix in basis order; tests compare it with numpy."""
-        idx = {lbl: k for k, lbl in enumerate(self.basis)}
-        out = np.zeros((self.dim, self.dim))
-        for (i, j), v in self.entries.items():
-            out[idx[i], idx[j]] = v
-        return out
-
 
 @dataclass(frozen=True)
 class DualRailQubit:
@@ -142,9 +134,10 @@ def _squeeze_amplitudes(r: float, n_trunc: int) -> tuple[list[float], list[float
     """
     t = math.tanh(r)
     c = math.cosh(r)
-    n = np.arange(n_trunc + 1)
-    base = t**n
-    return (base / c).tolist(), (base * np.sqrt(n + 1) / (c * c)).tolist()
+    base = [t**n for n in range(n_trunc + 1)]
+    c0 = [b / c for b in base]
+    c1 = [b * math.sqrt(n + 1) / (c * c) for n, b in enumerate(base)]
+    return c0, c1
 
 
 def _bosonic_trace_deficit(r: float, n_trunc: int) -> float:
@@ -256,11 +249,6 @@ def partial_transpose(rho: TruncatedDensityMatrix) -> TruncatedDensityMatrix:
     return TruncatedDensityMatrix(rho.basis, entries, rho.trace_deficit)
 
 
-def eigenvalues_symmetric(matrix, vectors: bool = False):
-    """Sorted eigenvalues of a real symmetric matrix via cyclic Jacobi."""
-    return jacobi_eigh(matrix, vectors=vectors) if vectors else jacobi_eigh(matrix)[0]
-
-
 def connected_blocks(rho: TruncatedDensityMatrix) -> list[list[Label]]:
     """Connected components of the non-zero pattern, each in basis order.
 
@@ -298,7 +286,7 @@ def spectrum(rho: TruncatedDensityMatrix) -> list[float]:
             eig.append(rho.entries[(block[0], block[0])])
         else:
             m = [[rho.entries.get((i, j), 0.0) for j in block] for i in block]
-            eig.extend(eigenvalues_symmetric(m).tolist())
+            eig.extend(jacobi_eigh(m))
     eig.extend([0.0] * (rho.dim - len(eig)))
     return sorted(eig)
 
@@ -394,21 +382,33 @@ def bob_post_state_fermionic(
     return TruncatedDensityMatrix(basis, entries, 0.0)
 
 
+def _fused_dot(x: list[float], y: list[float]) -> float:
+    """sum x[k] y[k] from 0.0, each multiply-add rounded once (a fused multiply-add)."""
+    acc = 0.0
+    for a, b in zip(x, y):
+        acc = float(Fraction(a) * Fraction(b) + Fraction(acc))
+    return acc
+
+
 def fidelity_numeric(rho: TruncatedDensityMatrix, target: dict[Label, float]) -> float:
     """<psi|rho|psi> for a normalised target state given as {label: amplitude}.
 
     Only the entries between the target's own labels are read, in basis order.
+    The form is evaluated as (psi^T rho) psi, each product a fused dot in that
+    order: the rounding of a BLAS gemv followed by a dot on a machine with
+    fused multiply-add, which wrote the reference reports in tests/golden.
+    Plain multiply-then-add moves F_fermion there by an ulp.
     """
     for lbl in target:
         if lbl not in rho.basis:
             raise PhysicsDomainError(f"target label {lbl} not in the state's basis")
     labels = sorted(target, key=rho.basis.index)
-    vec = np.array([target[lbl] for lbl in labels], dtype=float)
-    norm = float(vec @ vec)
+    vec = [float(target[lbl]) for lbl in labels]
+    norm = _fused_dot(vec, vec)
     if abs(norm - 1.0) > 1e-12:
         raise PhysicsDomainError(f"target state not normalised: |psi|^2 = {norm}")
-    sub = np.array([[rho.entries.get((i, j), 0.0) for j in labels] for i in labels])
-    return float(vec @ sub @ vec)
+    columns = [[rho.entries.get((i, j), 0.0) for i in labels] for j in labels]
+    return _fused_dot([_fused_dot(vec, col) for col in columns], vec)
 
 
 def dual_rail_target(x: float, y: float) -> dict[Label, float]:

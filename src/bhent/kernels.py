@@ -1,58 +1,90 @@
-"""Eigensolver front end: compiled Jacobi kernel with pure-Python fallback.
+"""Eigenvalues of small real symmetric matrices by cyclic Jacobi rotations.
 
-The backend is selected once at import.  Both backends run the identical
-cyclic rotation schedule, so results agree to rounding; see
-benchmarks/bench_jacobi.py for a speed comparison.
+Pure Python on lists of lists: the oracle hands the solver only the
+connected blocks of its sparse matrices, a few rows each.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from collections.abc import Sequence
 
 from bhent.errors import ContractViolationError
-
-try:
-    from bhent._jacobi_fast import jacobi_sweeps as _jacobi_sweeps
-
-    BACKEND = "cython"
-except ImportError:  # pragma: no cover - depends on build environment
-    from bhent._jacobi_py import jacobi_sweeps as _jacobi_sweeps
-
-    BACKEND = "python"
 
 JACOBI_TOL = 1e-12
 MAX_SWEEPS = 60
 
 
-def jacobi_eigh(
-    matrix: np.ndarray,
-    vectors: bool = False,
-    tol: float = JACOBI_TOL,
-    max_sweeps: int = MAX_SWEEPS,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigen-decompose a real symmetric matrix by cyclic Jacobi rotations.
+def _off_diagonal_norm(a: list[list[float]]) -> float:
+    """Frobenius norm of the off-diagonal part, summed entry by entry.
 
-    Returns eigenvalues in ascending order and, when requested, the matching
-    orthonormal eigenvector columns.  Convergence requires the off-diagonal
-    Frobenius norm to drop below tol * ||A||_F.
+    Forming sum(a*a) - sum(diag(a)**2) instead cancels down to about
+    sqrt(eps) * ||A||_F, far above the stopping threshold, so the stopping
+    test would then fire or fail by chance.
     """
-    a = np.array(matrix, dtype=np.float64, order="C", copy=True)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ContractViolationError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    scale = max(float(np.max(np.abs(a))), 1.0)
-    asym = float(np.max(np.abs(a - a.T)))
+    return math.sqrt(
+        sum(x * x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
+    )
+
+
+def _jacobi_sweeps(a: list[list[float]], tol: float, max_sweeps: int) -> int:
+    """Diagonalise the symmetric list-of-lists `a` in place.
+
+    Returns the number of sweeps used, or -1 if the off-diagonal Frobenius
+    norm did not drop below tol * ||A||_F within max_sweeps.
+    """
+    n = len(a)
+    norm = math.sqrt(sum(x * x for row in a for x in row))
+    if norm == 0.0:
+        return 0
+    thresh = tol * norm
+    skip = thresh / max(n, 1)
+
+    for sweep in range(max_sweeps):
+        if _off_diagonal_norm(a) <= thresh:
+            return sweep
+        for p in range(n - 1):
+            row_p = a[p]
+            for q in range(p + 1, n):
+                apq = row_p[q]
+                if abs(apq) <= skip:
+                    continue
+                row_q = a[q]
+                theta = (row_q[q] - row_p[p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                for row in a:
+                    xp, xq = row[p], row[q]
+                    row[p] = c * xp - s * xq
+                    row[q] = s * xp + c * xq
+                for k in range(n):
+                    xp, xq = row_p[k], row_q[k]
+                    row_p[k] = c * xp - s * xq
+                    row_q[k] = s * xp + c * xq
+    return max_sweeps if _off_diagonal_norm(a) <= thresh else -1
+
+
+def jacobi_eigh(matrix: Sequence[Sequence[float]]) -> list[float]:
+    """Ascending eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
+
+    Convergence requires the off-diagonal Frobenius norm to drop below
+    JACOBI_TOL * ||A||_F within MAX_SWEEPS sweeps.  The input is not modified.
+    """
+    try:
+        a = [[float(x) for x in row] for row in matrix]
+    except TypeError:
+        raise ContractViolationError("expected a square matrix, got a non-nested sequence")
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ContractViolationError(
+            f"expected a square matrix, got {n} rows of lengths {[len(row) for row in a]}"
+        )
+    scale = max(max((abs(x) for row in a for x in row), default=0.0), 1.0)
+    asym = max((abs(a[i][j] - a[j][i]) for i in range(n) for j in range(i)), default=0.0)
     if asym > 1e-10 * scale:
         raise ContractViolationError(f"matrix asymmetry {asym} exceeds contract (scale {scale})")
 
-    v = np.eye(n)
-    sweeps = _jacobi_sweeps(a, v, tol, max_sweeps)
-    if sweeps < 0:
-        raise ContractViolationError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
-
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    if vectors:
-        return w, v[:, order]
-    return w, None
+    if _jacobi_sweeps(a, JACOBI_TOL, MAX_SWEEPS) < 0:
+        raise ContractViolationError(f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps")
+    return sorted(a[i][i] for i in range(n))

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 
-import numpy as np
-
 from bhent import channels, fock_oracle, modes
 
 REPORT_HEADER = ("quantity", "point", "closed_form", "oracle", "abs_diff", "note")
@@ -72,11 +70,49 @@ def eigenvalue_rows(
     return rows
 
 
-def fermion_rows(r_values: Sequence[float], n_qubits: int = 10, seed: int = 7) -> list[tuple]:
-    """Fermionic E_N and fidelity: closed form vs explicit 4x4 constructions."""
-    rng = np.random.default_rng(seed)
+# Fermionic squeezing points of the report, each with the random dual-rail
+# qubits it is checked on, as (phi, outcome): qubit (cos phi, sin phi),
+# measurement outcome (i, j).  Drawn once, ten per point in this order, by
+#   rng = numpy.random.default_rng(7)
+#   phi = rng.uniform(0.0, 2.0 * math.pi)
+#   outcome = (int(rng.integers(2)), int(rng.integers(2)))
+FERMION_DRAWS = (
+    (0.0, (
+        (3.927590651355011, (1, 1)), (4.873776931938056, (1, 0)),
+        (1.8860003910648933, (0, 1)), (0.033082884284244704, (0, 1)),
+        (5.008134923536883, (0, 0)), (1.904008891790084, (0, 0)),
+        (1.6013928483953153, (1, 0)), (3.1701702074476534, (1, 1)),
+        (6.25491275416809, (1, 1)), (3.90926739285703, (0, 1)),
+    )),
+    (0.2, (
+        (1.3528244492618786, (1, 0)), (3.848699841633905, (0, 0)),
+        (0.22418580334633095, (0, 1)), (2.9292588484424504, (1, 1)),
+        (3.95354515710956, (0, 1)), (3.1219478687923115, (0, 0)),
+        (0.07410404800117357, (0, 0)), (4.3481660540211, (1, 0)),
+        (2.321865117245137, (0, 0)), (5.215343700148099, (1, 0)),
+    )),
+    (0.4, (
+        (1.681376018646652, (1, 1)), (3.2031101263004587, (1, 1)),
+        (4.019461504083831, (0, 1)), (0.5748838414036347, (0, 1)),
+        (3.1904270545160798, (1, 1)), (2.269889027609814, (1, 1)),
+        (0.3722890486115281, (1, 0)), (2.0296972244945413, (0, 0)),
+        (5.12920357960686, (0, 0)), (6.149654326765692, (0, 1)),
+    )),
+    (math.pi / 4, (
+        (3.801680564080844, (0, 1)), (4.250262232962561, (1, 0)),
+        (2.7665711075901207, (0, 0)), (2.5289713928117266, (1, 0)),
+        (6.0810429902262095, (1, 0)), (4.220824999594331, (0, 0)),
+        (5.491987928045793, (0, 1)), (0.8269665600792012, (1, 1)),
+        (5.937284464984357, (1, 1)), (3.579650979048285, (0, 0)),
+    )),
+)
+
+
+def fermion_rows() -> list[tuple]:
+    """Fermionic E_N and fidelity: closed form vs explicit 4x4 constructions,
+    at the points and on the qubits of FERMION_DRAWS."""
     rows = []
-    for r in r_values:
+    for r, draws in FERMION_DRAWS:
         point = f"r={r:g}"
         rows.append(
             _row(
@@ -88,10 +124,8 @@ def fermion_rows(r_values: Sequence[float], n_qubits: int = 10, seed: int = 7) -
             )
         )
         worst = None
-        for _ in range(n_qubits):
-            phi = rng.uniform(0.0, 2.0 * math.pi)
+        for phi, outcome in draws:
             qubit = fock_oracle.DualRailQubit(math.cos(phi), math.sin(phi))
-            outcome = (int(rng.integers(2)), int(rng.integers(2)))
             x, y = qubit.conditional(*outcome)
             f_num = fock_oracle.fidelity_numeric(
                 fock_oracle.bob_post_state_fermionic(r, qubit, outcome),
@@ -107,7 +141,7 @@ def fermion_rows(r_values: Sequence[float], n_qubits: int = 10, seed: int = 7) -
                 point,
                 channels.fidelity_fermion(r),
                 worst,
-                f"worst case over {n_qubits} random qubits",
+                f"worst case over {len(draws)} random qubits",
             )
         )
     return rows

@@ -30,7 +30,8 @@ def _check_value(name: str, value) -> None:
     """Check one sweep parameter value.
 
     statistics must come from the vocabulary; every other value must be
-    finite, and d, n and m integral (4.0 is accepted, 4.7 is not).
+    finite, d, n and m integral (4.0 is accepted, 4.7 is not), and tol a
+    series tolerance that channels accepts.
     """
     if name == "statistics":
         if value not in (modes.BOSON, modes.FERMION):
@@ -42,6 +43,8 @@ def _check_value(name: str, value) -> None:
         raise PhysicsDomainError(f"sweep parameter {name} must be finite, got {value}")
     if name in INTEGER_PARAMETERS and value != int(value):
         raise PhysicsDomainError(f"sweep parameter {name} must be an integer, got {value}")
+    if name == "tol":
+        channels.check_series_tol(value)
 
 
 @dataclass(frozen=True)

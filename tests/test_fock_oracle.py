@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bhent import channels, fock_oracle
+from bhent import channels, fock_oracle, kernels
 from bhent.errors import ContractViolationError, PhysicsDomainError, TruncationError
+from helpers import dense
 
 
 def _entries(basis, matrix):
@@ -48,10 +49,10 @@ class TestPartialTranspose:
         rho = fock_oracle.bell_state_bosonic(0.4, 10)
         pt = fock_oracle.partial_transpose(rho)
         back = fock_oracle.partial_transpose(pt)
-        assert np.max(np.abs(back.dense() - rho.dense())) < 1e-15
-        assert np.trace(pt.dense()) == pytest.approx(np.trace(rho.dense()), abs=1e-14)
-        assert np.linalg.norm(pt.dense()) == pytest.approx(
-            np.linalg.norm(rho.dense()), rel=1e-14
+        assert np.max(np.abs(dense(back) - dense(rho))) < 1e-15
+        assert np.trace(dense(pt)) == pytest.approx(np.trace(dense(rho)), abs=1e-14)
+        assert np.linalg.norm(dense(pt)) == pytest.approx(
+            np.linalg.norm(dense(rho)), rel=1e-14
         )
 
     def test_bell_projector_spectrum(self):
@@ -59,7 +60,7 @@ class TestPartialTranspose:
         basis = ((0, 0), (0, 1), (1, 0), (1, 1))
         vec = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
         rho = fock_oracle.TruncatedDensityMatrix(basis, _entries(basis, np.outer(vec, vec)))
-        eig = fock_oracle.eigenvalues_symmetric(fock_oracle.partial_transpose(rho).dense())
+        eig = kernels.jacobi_eigh(dense(fock_oracle.partial_transpose(rho)))
         assert np.allclose(np.sort(eig), [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     def test_open_basis_rejected(self):
@@ -117,7 +118,7 @@ class TestFermionicOracle:
     @pytest.mark.parametrize("r", [0.0, 0.2, 0.5, math.pi / 4])
     def test_negative_eigenvalue_is_minus_half_cos_squared(self, r):
         pt = fock_oracle.partial_transpose(fock_oracle.bell_state_fermionic(r))
-        eig = fock_oracle.eigenvalues_symmetric(pt.dense())
+        eig = kernels.jacobi_eigh(dense(pt))
         assert eig[0] == pytest.approx(-math.cos(r) ** 2 / 2.0, abs=1e-12)
 
     def test_fidelity_amplitude_independent(self):
@@ -177,13 +178,13 @@ class TestSparseAssembly:
 
     def test_partial_transpose_matches_dense_loop(self):
         rho = fock_oracle.bell_state_bosonic(math.atanh(0.3), 12)
-        dense = rho.dense()
+        full = dense(rho)
         idx = {lbl: k for k, lbl in enumerate(rho.basis)}
-        ref = np.empty_like(dense)
+        ref = np.empty_like(full)
         for (a, b), i in idx.items():
             for (a2, b2), j in idx.items():
-                ref[i, j] = dense[idx[(a2, b)], idx[(a, b2)]]
-        assert np.array_equal(fock_oracle.partial_transpose(rho).dense(), ref)
+                ref[i, j] = full[idx[(a2, b)], idx[(a, b2)]]
+        assert np.array_equal(dense(fock_oracle.partial_transpose(rho)), ref)
 
     @pytest.mark.parametrize(
         "build",
@@ -199,12 +200,12 @@ class TestSparseAssembly:
     )
     def test_blockwise_spectrum_matches_lapack(self, build):
         rho = build()
-        ref = np.linalg.eigvalsh(rho.dense())
+        ref = np.linalg.eigvalsh(dense(rho))
         assert np.allclose(fock_oracle.spectrum(rho), ref, rtol=0.0, atol=1e-14)
 
     def test_negativity_matches_dense_spectrum(self):
         rho = fock_oracle.bell_state_bosonic(math.atanh(0.7), 40)
-        eig = np.linalg.eigvalsh(fock_oracle.partial_transpose(rho).dense())
+        eig = np.linalg.eigvalsh(dense(fock_oracle.partial_transpose(rho)))
         ref = float(np.sum((np.abs(eig) - eig) / 2.0))
         assert fock_oracle.negativity_numeric(rho).negativity == pytest.approx(ref, abs=1e-14)
 

@@ -1,16 +1,17 @@
-"""Seeded property tests of the closed-form bosonic negativity.
+"""Seeded property tests of the closed forms, the eigensolver and the oracle.
 
-The draws cover both evaluators of S(t) = Li_{-1/2}(t)/t: the direct series
-below t = tanh^2 r = 0.9 (r < 1.82) and the expansion about t = 1 above it;
-tanh^2 r rounds to 1 from r ~ 19 on.
+The negativity draws cover both evaluators of S(t) = Li_{-1/2}(t)/t: the
+direct series below t = tanh^2 r = 0.9 (r < 1.82) and the expansion about
+t = 1 above it; tanh^2 r rounds to 1 from r ~ 19 on.
 """
 
 import math
 
+import numpy as np
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from bhent import channels
+from bhent import channels, fock_oracle, kernels
 
 SERIES_LIMIT = math.log2(1.0 + math.sqrt(math.pi) / 2.0)
 # Rounding slack: at t = 1 - 2^-52 the exact E_N exceeds SERIES_LIMIT by
@@ -56,3 +57,77 @@ def test_bookkeeping_certifies_tol(r, tol):
         assert 0.0 <= result.tail_bound < tol
     else:
         assert (result.terms_used, result.tail_bound) == (0, 0.0)
+
+
+# Entries at least 1e-6 in magnitude (or zero), so that no square underflows.
+entries = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-6, max_value=1e2),
+    st.floats(min_value=-1e2, max_value=-1e-6),
+)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric n x n matrices, n in 1..6: general, diagonal, or
+    Q diag(lambda) Q^T with eigenvalues repeated from a three-value set."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["general", "diagonal", "repeated"]))
+    if kind == "diagonal":
+        return np.diag(draw(st.lists(entries, min_size=n, max_size=n)))
+    if kind == "repeated":
+        levels = draw(st.lists(st.sampled_from([-1.5, 0.0, 2.0]), min_size=n, max_size=n))
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = q @ np.diag(levels) @ q.T
+        return (a + a.T) / 2.0
+    upper = draw(st.lists(entries, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    a = np.zeros((n, n))
+    a[np.triu_indices(n)] = upper
+    return a + np.triu(a, 1).T
+
+
+@seed(10)
+@PROPERTY
+@given(a=symmetric_matrices())
+def test_jacobi_matches_lapack(a):
+    w = kernels.jacobi_eigh(a.tolist())
+    err = np.max(np.abs(np.array(w) - np.linalg.eigvalsh(a)))
+    assert err <= 1e-12 * np.linalg.norm(a)
+
+
+@seed(11)
+@PROPERTY
+@given(
+    r=st.floats(min_value=0.0, max_value=math.pi / 4),
+    phi=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    outcome=st.tuples(st.integers(0, 1), st.integers(0, 1)),
+)
+def test_fermion_oracle_fidelity_at_least_half(r, phi, outcome):
+    qubit = fock_oracle.DualRailQubit(math.cos(phi), math.sin(phi))
+    x, y = qubit.conditional(*outcome)
+    f = fock_oracle.fidelity_numeric(
+        fock_oracle.bob_post_state_fermionic(r, qubit, outcome),
+        fock_oracle.dual_rail_target(x, y),
+    )
+    # F = cos^2 r, which is exactly 1/2 at r = pi/4: allow an ulp of rounding
+    assert f >= 0.5 - math.ulp(0.5)
+
+
+GATE = 1e-8
+
+
+@seed(12)
+@settings(max_examples=60, deadline=2000, database=None)
+@given(tanh_r=st.floats(min_value=0.0, max_value=0.9))
+def test_blockwise_oracle_matches_series(tanh_r):
+    r = math.atanh(tanh_r)
+    # the smallest truncation the oracle certifies at the gate
+    trunc = next(
+        n
+        for n in range(2, fock_oracle.MAX_TRUNC + 1)
+        if fock_oracle._bosonic_trace_deficit(r, n) <= GATE
+    )
+    oracle = fock_oracle.blockwise_negativity_bosonic(r, trunc, GATE).log_negativity
+    series = channels.log_negativity_boson(r, GATE / 10.0).value
+    assert abs(oracle - series) < GATE

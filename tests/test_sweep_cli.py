@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -252,7 +253,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "module, name, argv",
         [
-            (fock_oracle, "eigenvalues_symmetric",
+            (fock_oracle, "jacobi_eigh",
              ["oracle-check", "--tanhr", "0.2", "--trunc", "10", "--out", os.devnull]),
             (geometry, "surface_gravity_schw", ["geom", "--d", "4", "--mass", "1"]),
         ],
@@ -321,7 +322,7 @@ class TestExitCodes:
 
 
 def test_cli_import_loads_neither_scipy_nor_numpy(tmp_path):
-    # numpy loads only with oracle-check; mpmath never, near the horizon included
+    # none of them loads, near the horizon and in oracle-check included
     code = (
         "import sys\n"
         "import bhent.cli\n"
@@ -347,11 +348,48 @@ def test_cli_import_loads_neither_scipy_nor_numpy(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[0] == "import []"
     assert "near-horizon 0 []" in lines
-    assert lines[-1] == "oracle-check 0 ['numpy']"
+    assert lines[-1] == "oracle-check 0 []"
     # the first cell, omega = 1e-6, has tanh^2 r = 1 - 1.3e-5 and gets a value
     with open(tmp_path / "nh.csv", encoding="utf-8") as fh:
         first = fh.read().splitlines()[1]
     assert not first.split(",")[1].startswith("NA")
+
+
+def test_runtime_source_names_numpy_only_in_draws_comment():
+    hits = [
+        (path.name, line.strip())
+        for path in sorted(Path(bhent.__file__).parent.glob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if "numpy" in line
+    ]
+    assert hits == [("reports.py", "#   rng = numpy.random.default_rng(7)")]
+
+
+class TestSeriesTolerance:
+    """A sweep tol outside the series range is refused before any CSV opens."""
+
+    @pytest.mark.parametrize(
+        "extra, env",
+        [
+            (["--fixed", "tol=0.5"], None),
+            (["--fixed", "tol=1e-40"], None),
+            (["--axis", "tol:1e-6:0.5:2"], None),
+            ([], "0.5"),
+        ],
+        ids=["fixed-above", "fixed-below", "axis", "env"],
+    )
+    def test_rejected_with_no_output(self, extra, env, tmp_path, monkeypatch, capsys):
+        if env is None:
+            monkeypatch.delenv("BHE_DEFAULT_TOL", raising=False)
+        else:
+            monkeypatch.setenv("BHE_DEFAULT_TOL", env)
+        out = tmp_path / "x.csv"
+        rc = cli.main(["sweep", "--axis", "omega:0.2:1.0:2", "--fixed", "d=4",
+                       "--fixed", "r_h=1", *extra, "--out", str(out)])
+        assert rc == cli.EXIT_PHYSICS == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: series tolerance must be in")
+        assert not out.exists()
 
 
 class TestEnvTolerance:
