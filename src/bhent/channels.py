@@ -186,6 +186,27 @@ def fidelity_fermion(r: float | modes.SqueezingParams) -> float:
     return math.cos(r) ** 2
 
 
+def mode_point(
+    omega: float, m: int, statistics: str, kappa: float, omega_h: float, tol: float
+) -> tuple[float, float, float, NegativityResult]:
+    """Figures of merit of one mode near a horizon with (kappa, omega_h).
+
+    Returns (r, N_occ, F, E_N).  E_N is a NegativityResult; for fermions
+    the closed form is exact, so terms_used and tail_bound are 0.  tol is
+    the bosonic series tolerance.
+    """
+    mode = modes.ModeSpec(omega, m, statistics)
+    omega_eff = modes.effective_frequency(mode, omega_h)
+    sq = modes.squeeze(omega_eff, kappa, statistics)
+    if statistics == modes.BOSON:
+        e_n = log_negativity_boson(sq.r, tol)
+        fid = fidelity_boson(omega_eff, kappa)
+    else:
+        e_n = NegativityResult(log_negativity_fermion(sq.r), 0, 0.0)
+        fid = fidelity_fermion(sq)
+    return sq.r, modes.occupation(omega_eff, kappa, statistics), fid, e_n
+
+
 def check_series_tol(tol: float) -> None:
     """Reject a series tolerance outside [MIN_SERIES_TOL, 1e-3] (or nan)."""
     if not MIN_SERIES_TOL <= tol <= 1e-3:
@@ -242,17 +263,11 @@ def minibh_bounds(
     count = 0
     for n in n_values:
         for a_star in a_star_values:
-            kappa_rh, _ = geometry.rotating_kappa_omega(n, 1.0, a_star)
+            kappa_rh, omega_rh = geometry.rotating_kappa_omega(n, 1.0, a_star)
             for w in omegas:
                 count += 1
-                if statistics == modes.BOSON:
-                    sq = modes.squeeze_boson(w, kappa_rh)
-                    e_n = log_negativity_boson(sq.r, tol).value
-                    f = fidelity_boson(w, kappa_rh)
-                else:
-                    sq = modes.squeeze_fermion(w, kappa_rh)
-                    e_n = log_negativity_fermion(sq.r)
-                    f = fidelity_fermion(sq)
+                _, _, f, neg = mode_point(w, 0, statistics, kappa_rh, omega_rh, tol)
+                e_n = neg.value
                 if e_n > best_en:
                     best_en, arg_en = e_n, (w, n, a_star)
                 if f > best_f:

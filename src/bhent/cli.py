@@ -10,13 +10,16 @@ oracle-check  closed forms vs Fock-space oracle -> comparison CSV
 estimate      SI-unit estimators (coupling-time, hawking-temp, radiation-density)
 tev           TeV-gravity length scales
 
-Exit codes: 0 success, 2 invalid flags, 3 physics domain error (also any
-non-finite numeric flag, or a sweep spec with a non-integer d/n/m or an
-unknown statistics), 4 unwritable output path, 5 oracle contract mismatch
-or a truncation too small for the gate (the oracle's trace deficit exceeds
---tol), 6 internal contract violation (a numerical self-check failed, e.g. Jacobi
-non-convergence or a horizon residual).  The environment variable
-BHE_DEFAULT_TOL overrides the default series tolerance (1e-10).
+Exit codes: 0 success; 2 invalid flags (teleport takes no --tol); 3 physics
+domain error, which also covers a non-finite numeric flag, a result outside
+the floating-point range, a malformed or unknown config line, and a sweep
+spec with a non-integer d/n/m, an unknown statistics, no complete geometry
+route or no frequency; 4 unreadable config or unwritable output path; 5
+oracle contract mismatch or a truncation too small for the gate (the
+oracle's trace deficit exceeds --tol); 6 internal contract violation (a
+numerical self-check failed, e.g. Jacobi non-convergence or a horizon
+residual).  The environment variable BHE_DEFAULT_TOL overrides the default
+series tolerance (1e-10) of entangle and sweep.
 """
 
 from __future__ import annotations
@@ -63,78 +66,73 @@ def _fmt(value: float) -> str:
 
 # ---------------------------------------------------------------- geometry
 
+# geometry flag -> sweep parameter
+_GEOMETRY_FLAGS = (("d", "d"), ("rh", "r_h"), ("mass", "M"), ("n", "n"), ("mu", "mu"), ("a", "a"))
 
-def _resolve_bh(args) -> tuple[float, float, float, dict]:
-    """Returns (r_h, kappa, Omega, extras) from geom-style flags."""
-    if args.d is not None:
-        if args.rh is not None:
-            r_h = args.rh
-        elif args.mass is not None:
-            r_h = geometry.horizon_from_mass(args.d, args.mass)
-        else:
-            raise PhysicsDomainError("static geometry needs --rh or --mass")
-        kappa = geometry.surface_gravity_schw(args.d, r_h)
-        extras = {"M": geometry.mass_from_horizon(args.d, r_h), "J": 0.0}
-        return r_h, kappa, 0.0, extras
-    if args.n is not None:
-        if args.mu is None:
-            raise PhysicsDomainError("rotating geometry needs --mu")
-        bh = geometry.RotatingBH(args.n, args.mu, args.a or 0.0)
-        extras = {"M": bh.mass, "J": bh.angular_momentum, "a_star": bh.a_star}
-        return bh.r_h, bh.kappa, bh.omega_h, extras
-    raise PhysicsDomainError("need --d (static) or --n (rotating)")
+
+def _hole(args):
+    """The hole the geometry flags describe, resolved as a sweep cell is."""
+    params = {
+        name: getattr(args, flag)
+        for flag, name in _GEOMETRY_FLAGS
+        if getattr(args, flag) is not None
+    }
+    return sweep.resolve_geometry(params)
 
 
 def cmd_geom(args) -> int:
-    r_h, kappa, omega_h, extras = _resolve_bh(args)
-    print(f"r_h = {_fmt(r_h)}")
-    print(f"kappa = {_fmt(kappa)}")
-    print(f"Omega = {_fmt(omega_h)}")
-    print(f"T = {_fmt(geometry.hawking_temperature(kappa))}")
-    for key, value in extras.items():
-        print(f"{key} = {_fmt(value)}")
+    if args.units == "si" and not (args.mstar is not None and args.mstar > 0):
+        raise PhysicsDomainError(f"--units si needs a positive --mstar <TeV>, got {args.mstar}")
+    bh = _hole(args)
+    lines = {
+        "r_h": bh.r_h,
+        "kappa": bh.kappa,
+        "Omega": bh.omega_h,
+        "T": geometry.hawking_temperature(bh.kappa),
+        "M": bh.mass,
+        "J": bh.angular_momentum,
+    }
+    if isinstance(bh, geometry.RotatingBH):
+        lines["a_star"] = bh.a_star
     if args.units == "si":
-        if args.mstar is None:
-            raise PhysicsDomainError("--units si needs --mstar <TeV>")
         scale = geometry.TEV_INV_TO_M / args.mstar  # treats lengths as multiples of 1/M_*
-        print(f"r_h_si_m = {_fmt(r_h * scale)}")
+        lines["r_h_si_m"] = bh.r_h * scale
+    for key, value in lines.items():  # all computed first: a failure prints nothing
+        print(f"{key} = {_fmt(value)}")
     return EXIT_OK
 
 
 # ------------------------------------------------------------- mode points
 
 
-def _mode_quantities(args) -> tuple[float, float, modes.SqueezingParams]:
+def _horizon(args) -> tuple[float, float]:
+    """(kappa, Omega): --kappa/--Omega if given, else the hole's."""
     if args.kappa is not None:
-        kappa, omega_h = args.kappa, args.Omega
-    else:
-        _, kappa, omega_h, _ = _resolve_bh(args)
-    mode = modes.ModeSpec(args.omega, args.m, args.statistics)
-    omega_eff = modes.effective_frequency(mode, omega_h)
-    return omega_eff, kappa, modes.squeeze(omega_eff, kappa, args.statistics)
+        return args.kappa, args.Omega
+    bh = _hole(args)
+    return bh.kappa, bh.omega_h
 
 
 def cmd_entangle(args) -> int:
-    omega_eff, kappa, sq = _mode_quantities(args)
+    tol = default_tol() if args.tol is None else args.tol
+    r, n_occ, _, e_n = channels.mode_point(
+        args.omega, args.m, args.statistics, *_horizon(args), tol
+    )
+    print(f"E_N = {_fmt(e_n.value)}")
     if args.statistics == modes.BOSON:
-        result = channels.log_negativity_boson(sq.r, args.tol)
-        print(f"E_N = {_fmt(result.value)}")
-        print(f"terms_used = {result.terms_used}")
-        print(f"tail_bound = {_fmt(result.tail_bound)}")
-    else:
-        print(f"E_N = {_fmt(channels.log_negativity_fermion(sq.r))}")
-    print(f"r = {_fmt(sq.r)}")
-    print(f"N_occ = {_fmt(modes.occupation(omega_eff, kappa, args.statistics))}")
+        print(f"terms_used = {e_n.terms_used}")
+        print(f"tail_bound = {_fmt(e_n.tail_bound)}")
+    print(f"r = {_fmt(r)}")
+    print(f"N_occ = {_fmt(n_occ)}")
     return EXIT_OK
 
 
 def cmd_teleport(args) -> int:
-    omega_eff, kappa, sq = _mode_quantities(args)
-    if args.statistics == modes.BOSON:
-        print(f"F = {_fmt(channels.fidelity_boson(omega_eff, kappa))}")
-    else:
-        print(f"F = {_fmt(channels.fidelity_fermion(sq))}")
-    print(f"r = {_fmt(sq.r)}")
+    r, _, fid, _ = channels.mode_point(
+        args.omega, args.m, args.statistics, *_horizon(args), channels.DEFAULT_SERIES_TOL
+    )
+    print(f"F = {_fmt(fid)}")
+    print(f"r = {_fmt(r)}")
     return EXIT_OK
 
 
@@ -145,10 +143,12 @@ def _parse_axis(text: str) -> sweep.Axis:
     parts = text.split(":")
     if len(parts) == 4:
         parts.append("linear")
-    if len(parts) != 5:
-        raise PhysicsDomainError(f"axis must be name:lo:hi:count[:scale], got {text!r}")
-    name, lo, hi, count, scale = parts
-    return sweep.Axis(name, float(lo), float(hi), int(count), scale)
+    try:
+        name, lo, hi, count, scale = parts
+        bounds = float(lo), float(hi), int(count)
+    except ValueError:
+        raise PhysicsDomainError(f"axis must be name:lo:hi:count[:scale], got {text!r}") from None
+    return sweep.Axis(name, *bounds, scale)
 
 
 def _parse_fixed(text: str) -> tuple[str, object]:
@@ -157,7 +157,12 @@ def _parse_fixed(text: str) -> tuple[str, object]:
     key, value = (s.strip() for s in text.split("=", 1))
     if key == "statistics":
         return key, value
-    return key, float(value)
+    try:
+        return key, float(value)
+    except ValueError:
+        raise PhysicsDomainError(f"fixed parameter {key} must be a number, got {value!r}") from None
+
+
 
 
 def read_config(path: str) -> dict[str, list[str]]:
@@ -171,6 +176,10 @@ def read_config(path: str) -> dict[str, list[str]]:
             if "=" not in line:
                 raise PhysicsDomainError(f"{path}:{lineno}: expected key = value")
             key, value = (s.strip() for s in line.split("=", 1))
+            if key not in ("axis", "fixed", "output"):
+                raise PhysicsDomainError(
+                    f"{path}:{lineno}: unknown key {key!r}, expected axis, fixed or output"
+                )
             entries.setdefault(key, []).append(value)
     return entries
 
@@ -194,12 +203,7 @@ def _build_spec(args) -> sweep.SweepSpec:
 
 
 def cmd_sweep(args) -> int:
-    spec = _build_spec(args)
-    try:
-        rows = sweep.run_sweep(spec, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    rows = sweep.run_sweep(_build_spec(args), args.out)
     print(f"wrote {rows} rows to {args.out}")
     return EXIT_OK
 
@@ -220,20 +224,12 @@ def cmd_oracle_check(args) -> int:
         if not 0.0 <= th < 1.0:
             raise PhysicsDomainError(f"--tanhr values must lie in [0, 1), got {th}")
     tol = args.tol
-    try:
-        rows = reports.negativity_rows(tanh_values, trunc, tol)
-        rng_points = [(0.1 + 0.05 * k, k % 6) for k in range(12)]
-        rows += reports.eigenvalue_rows(rng_points)
-        rows += reports.fermion_rows()
-        rows += reports.fidelity_boson_rows([math.log(2.0), 1.5, 3.0], trunc)
-    except TruncationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    try:
-        reports.write_report_csv(rows, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    rows = reports.negativity_rows(tanh_values, trunc, tol)
+    rng_points = [(0.1 + 0.05 * k, k % 6) for k in range(12)]
+    rows += reports.eigenvalue_rows(rng_points)
+    rows += reports.fermion_rows()
+    rows += reports.fidelity_boson_rows([math.log(2.0), 1.5, 3.0], trunc)
+    reports.write_report_csv(rows, args.out)
 
     failures = [
         row
@@ -298,7 +294,6 @@ def _add_mode_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--statistics", choices=(modes.BOSON, modes.FERMION), default=modes.BOSON)
     p.add_argument("--kappa", type=float, help="surface gravity (overrides geometry flags)")
     p.add_argument("--Omega", type=float, default=0.0, help="horizon angular velocity")
-    p.add_argument("--tol", type=float, default=None, help="series tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,6 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_geometry_flags(p)
         _add_mode_flags(p)
         p.set_defaults(func=func)
+        if name == "entangle":
+            p.add_argument("--tol", type=float, help="series tolerance")
 
     p = sub.add_parser("sweep", help="grid sweep to CSV")
     p.add_argument("--axis", action="append", type=_parse_axis, help="name:lo:hi:count[:scale]")
@@ -361,8 +358,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         _check_finite(args)
-        if getattr(args, "tol", None) is None and hasattr(args, "tol"):
-            args.tol = default_tol()
         return args.func(args)
     except TruncationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -370,6 +365,13 @@ def main(argv: list[str] | None = None) -> int:
     except PhysicsDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
+    except (OverflowError, ZeroDivisionError) as exc:
+        name = type(exc).__name__
+        print(f"error: result outside the floating-point range ({name})", file=sys.stderr)
+        return EXIT_PHYSICS
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except ContractViolationError as exc:
         print(f"error: internal contract violation: {exc}", file=sys.stderr)
         return EXIT_CONTRACT

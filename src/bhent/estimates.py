@@ -54,27 +54,25 @@ class CavitySpec:
             raise PhysicsDomainError("cavity dimensions must be positive")
 
 
-def radiation_density(temperature: float, constants: SIConstants = SI) -> float:
+def radiation_density(temperature: float) -> float:
     """Thermal radiation energy density rho = alpha T^4 in J/m^3."""
     if temperature < 0:
         raise PhysicsDomainError(f"temperature must be non-negative, got {temperature}")
-    return constants.stefan_alpha * temperature**4
+    return SI.stefan_alpha * temperature**4
 
 
-def hawking_temperature_si(mass_kg: float, constants: SIConstants = SI) -> float:
+def hawking_temperature_si(mass_kg: float) -> float:
     """Hawking temperature T = hbar c^3 / (8 pi G M k_B) in kelvin."""
     if mass_kg <= 0:
         raise PhysicsDomainError(f"mass must be positive, got {mass_kg}")
-    return constants.hbar * constants.c**3 / (
-        8.0 * math.pi * constants.g_newton * mass_kg * constants.k_b
-    )
+    return SI.hbar * SI.c**3 / (8.0 * math.pi * SI.g_newton * mass_kg * SI.k_b)
 
 
-def acceleration_surface_gravity(t_bh: float, constants: SIConstants = SI) -> float:
+def acceleration_surface_gravity(t_bh: float) -> float:
     """kappa = 2 pi c k_B T_bh / hbar, in m/s^2."""
     if t_bh <= 0:
         raise PhysicsDomainError(f"temperature must be positive, got {t_bh}")
-    return 2.0 * math.pi * constants.c * constants.k_b * t_bh / constants.hbar
+    return 2.0 * math.pi * SI.c * SI.k_b * t_bh / SI.hbar
 
 
 @dataclass(frozen=True)
@@ -87,10 +85,7 @@ class CouplingTimeResult:
 
 
 def coupling_time(
-    mass_kg: float | None,
-    cavity: CavitySpec,
-    t_bh: float | None = None,
-    constants: SIConstants = SI,
+    mass_kg: float | None, cavity: CavitySpec, t_bh: float | None = None
 ) -> CouplingTimeResult:
     """Gravitational coupling time t ~ h c^2 / (kappa dl alpha T_bh^4 V_c).
 
@@ -100,11 +95,11 @@ def coupling_time(
     if t_bh is None:
         if mass_kg is None:
             raise PhysicsDomainError("need a black hole mass or temperature")
-        t_bh = hawking_temperature_si(mass_kg, constants)
-    kappa = acceleration_surface_gravity(t_bh, constants)
-    redshift = kappa * cavity.wall_thickness / constants.c**2
-    delta_e = radiation_density(t_bh, constants) * cavity.volume
-    t = constants.h / (redshift * delta_e)
+        t_bh = hawking_temperature_si(mass_kg)
+    kappa = acceleration_surface_gravity(t_bh)
+    redshift = kappa * cavity.wall_thickness / SI.c**2
+    delta_e = radiation_density(t_bh) * cavity.volume
+    t = SI.h / (redshift * delta_e)
     return CouplingTimeResult(t, kappa, redshift, delta_e, t_bh)
 
 

@@ -146,13 +146,21 @@ def local_temperature(t_bh: float, d: int, r_h: float, r: float) -> float:
 
 @dataclass(frozen=True)
 class SchwarzschildBH:
-    """Static d-dimensional black hole, parameterised by (d, r_h)."""
+    """Static d-dimensional black hole, parameterised by (d, r_h).
+
+    omega_h and angular_momentum are zero, so a static hole answers the same
+    questions as a RotatingBH.
+    """
 
     d: int
     r_h: float
+    kappa: float = field(init=False)
+    omega_h = 0.0  # not annotated: class constants, not fields
+    angular_momentum = 0.0
 
     def __post_init__(self) -> None:
-        _check_static(self.d, self.r_h)
+        # surface_gravity_schw checks (d, r_h) before it computes kappa
+        object.__setattr__(self, "kappa", surface_gravity_schw(self.d, self.r_h))
 
     @classmethod
     def from_mass(cls, d: int, mass: float) -> "SchwarzschildBH":
@@ -161,10 +169,6 @@ class SchwarzschildBH:
     @property
     def mass(self) -> float:
         return mass_from_horizon(self.d, self.r_h)
-
-    @property
-    def kappa(self) -> float:
-        return surface_gravity_schw(self.d, self.r_h)
 
     @property
     def inverse_kappa(self) -> float:

@@ -80,11 +80,16 @@ def jacobi_eigh(matrix: Sequence[Sequence[float]]) -> list[float]:
         raise ContractViolationError(
             f"expected a square matrix, got {n} rows of lengths {[len(row) for row in a]}"
         )
-    scale = max(max((abs(x) for row in a for x in row), default=0.0), 1.0)
+    largest = max((abs(x) for row in a for x in row), default=0.0)
+    scale = max(largest, 1.0)
     asym = max((abs(a[i][j] - a[j][i]) for i in range(n) for j in range(i)), default=0.0)
     if asym > 1e-10 * scale:
         raise ContractViolationError(f"matrix asymmetry {asym} exceeds contract (scale {scale})")
 
+    # Scale by a power of two so the largest entry lies in [1/2, 1): exact, and
+    # the squares in the norms can no longer underflow (entries below ~1e-154).
+    exp = math.frexp(largest)[1]
+    a = [[math.ldexp(x, -exp) for x in row] for row in a]
     if _jacobi_sweeps(a, JACOBI_TOL, MAX_SWEEPS) < 0:
         raise ContractViolationError(f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps")
-    return sorted(a[i][i] for i in range(n))
+    return sorted(math.ldexp(a[i][i], exp) for i in range(n))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 
-from bhent import channels, fock_oracle, modes
+from bhent import channels, fock_oracle, modes, sweep
 
 REPORT_HEADER = ("quantity", "point", "closed_form", "oracle", "abs_diff", "note")
 
@@ -58,10 +58,9 @@ def negativity_rows(
     return rows
 
 
-def eigenvalue_rows(
-    points: Iterable[tuple[float, int]], note: str = "closed form vs block eigenvalue"
-) -> list[tuple]:
+def eigenvalue_rows(points: Iterable[tuple[float, int]]) -> list[tuple]:
     """lambda_n closed form vs the oracle's isolated-block eigenvalue."""
+    note = "closed form vs block eigenvalue"
     rows = []
     for r, n in points:
         closed = channels.neg_eigenvalue_boson(r, n)
@@ -148,18 +147,16 @@ def fermion_rows() -> list[tuple]:
 
 
 def fidelity_boson_rows(
-    x_values: Sequence[float],
-    n_trunc: int = fock_oracle.DEFAULT_TRUNC,
-    qubit: fock_oracle.DualRailQubit | None = None,
+    x_values: Sequence[float], n_trunc: int = fock_oracle.DEFAULT_TRUNC
 ) -> list[tuple]:
     """Bosonic fidelity cross-check for x = pi*omega_eff/kappa values.
 
     Three candidates per point: the stated closed form (1 - e^-x)^3, the
     alternative cosh^-6 r = (1 - e^-2x)^3, and the constructive oracle.  A
-    final verdict row names the closed form the construction matches.
+    final verdict row names the closed form the construction matches.  The
+    teleported qubit is (0.6, 0.8).
     """
-    if qubit is None:
-        qubit = fock_oracle.DualRailQubit(0.6, 0.8)
+    qubit = fock_oracle.DualRailQubit(0.6, 0.8)
     rows = []
     verdicts = []
     for x in x_values:
@@ -191,15 +188,9 @@ def fidelity_boson_rows(
     return rows
 
 
-def format_value(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def write_report_csv(rows: list[tuple], path: str) -> None:
     """Write rows under the standard header; deterministic byte-for-byte."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(REPORT_HEADER) + "\n")
         for row in rows:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+            fh.write(",".join(sweep.format_value(v) for v in row) + "\n")

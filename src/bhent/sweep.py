@@ -9,15 +9,12 @@ aborting the run, so superradiant or horizonless corners of a grid are data.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 from bhent import channels, geometry, modes
-from bhent.errors import (
-    NakedSingularityError,
-    PhysicsDomainError,
-    SuperradiantModeError,
-)
+from bhent.errors import NakedSingularityError, PhysicsDomainError, SuperradiantModeError
 
 PARAMETER_VOCABULARY = frozenset(
     {"d", "n", "M", "mu", "r_h", "a", "a_star", "omega", "omega_rh", "m", "statistics", "tol"}
@@ -100,70 +97,59 @@ class SweepSpec:
                 raise PhysicsDomainError(f"unknown output {out!r}")
         if not self.outputs:
             raise PhysicsDomainError("at least one output is required")
+        names = set(self.fixed).union(names)
+        gap = geometry_gap(names)
+        if gap:
+            raise PhysicsDomainError(gap)
+        if not names & {"omega", "omega_rh"}:
+            raise PhysicsDomainError("a sweep needs omega or omega_rh")
 
     def header(self) -> list[str]:
         return [ax.name for ax in self.axes] + list(self.outputs)
 
     def grid(self):
-        """Row-major cartesian product of axis values."""
-        values = [ax.values() for ax in self.axes]
-        counts = [len(v) for v in values]
-        total = math.prod(counts)
-        for flat in range(total):
-            coords = []
-            rem = flat
-            for c, vals in zip(reversed(counts), reversed(values)):
-                coords.append(vals[rem % c])
-                rem //= c
-            yield tuple(reversed(coords))
+        """Row-major cartesian product of axis values: the last axis varies fastest."""
+        return itertools.product(*(ax.values() for ax in self.axes))
 
 
-def _na(reason: str) -> str:
-    return f"NA:{reason}"
+def _token_for(exc: PhysicsDomainError) -> str:
+    """The NA token a cell outside the physical domain writes."""
+    if isinstance(exc, SuperradiantModeError):
+        return "NA:superradiant"
+    if isinstance(exc, NakedSingularityError):
+        return "NA:naked_singularity"
+    return "NA:domain"
 
 
-_ERROR_TOKENS = (
-    (SuperradiantModeError, "superradiant"),
-    (NakedSingularityError, "naked_singularity"),
-    (PhysicsDomainError, "domain"),
-)
+def geometry_gap(names) -> str:
+    """Why `names` select no geometry route, or "" when they select one.
 
-
-def _token_for(exc: Exception) -> str:
-    for cls, token in _ERROR_TOKENS:
-        if isinstance(exc, cls):
-            return _na(token)
-    raise exc
-
-
-def resolve_geometry(params: dict) -> tuple[float, float, float]:
-    """Resolve cell parameters to (r_h, kappa, Omega).
-
-    Schwarzschild route: `d` plus one of `r_h` / `M`.  Rotating route: `n`
-    plus `mu` and one of `a` / `a_star`.
+    Static route: d plus r_h or M.  Rotating route: n plus mu, and a or
+    a_star (a = 0 without either).  d takes precedence over n.
     """
+    if "d" in names:
+        return "" if "r_h" in names or "M" in names else "static geometry needs r_h or M with d"
+    if "n" in names:
+        return "" if "mu" in names else "rotating geometry needs mu with n"
+    return "geometry needs d (static) or n (rotating)"
+
+
+def resolve_geometry(params: dict) -> geometry.SchwarzschildBH | geometry.RotatingBH:
+    """Resolve cell parameters to the hole of the route geometry_gap names."""
     if "d" in params:
         d = int(params["d"])
         if "r_h" in params:
-            r_h = float(params["r_h"])
-        elif "M" in params:
-            r_h = geometry.horizon_from_mass(d, float(params["M"]))
-        else:
-            raise PhysicsDomainError("Schwarzschild cell needs r_h or M")
-        return r_h, geometry.surface_gravity_schw(d, r_h), 0.0
-    if "n" in params:
-        n = int(params["n"])
-        if "mu" not in params:
-            raise PhysicsDomainError("rotating cell needs mu")
-        mu = float(params["mu"])
+            return geometry.SchwarzschildBH(d, float(params["r_h"]))
+        if "M" in params:
+            return geometry.SchwarzschildBH.from_mass(d, float(params["M"]))
+    elif "n" in params and "mu" in params:
+        n, mu = int(params["n"]), float(params["mu"])
         if "a" in params:
-            bh = geometry.RotatingBH(n, mu, float(params["a"]))
-        elif "a_star" in params:
-            bh = geometry.RotatingBH.from_a_star(n, mu, float(params["a_star"]))
-        else:
-            bh = geometry.RotatingBH(n, mu, 0.0)
-        return bh.r_h, bh.kappa, bh.omega_h
-    raise PhysicsDomainError("cell needs either d (static) or n (rotating)")
+            return geometry.RotatingBH(n, mu, float(params["a"]))
+        if "a_star" in params:
+            return geometry.RotatingBH.from_a_star(n, mu, float(params["a_star"]))
+        return geometry.RotatingBH(n, mu, 0.0)
+    raise PhysicsDomainError(geometry_gap(params))
 
 
 def evaluate_cell(params: dict) -> dict[str, float | str]:
@@ -176,36 +162,23 @@ def evaluate_cell(params: dict) -> dict[str, float | str]:
     m = int(params.get("m", 0))
     tol = float(params.get("tol", channels.DEFAULT_SERIES_TOL))
     try:
-        r_h, kappa, omega_h = resolve_geometry(params)
+        bh = resolve_geometry(params)
         if "omega" in params:
             omega = float(params["omega"])
         elif "omega_rh" in params:
-            omega = float(params["omega_rh"]) / r_h
+            omega = float(params["omega_rh"]) / bh.r_h
         else:
             raise PhysicsDomainError("cell needs omega or omega_rh")
-        mode = modes.ModeSpec(omega, m, statistics)
-        omega_eff = modes.effective_frequency(mode, omega_h)
-        sq = modes.squeeze(omega_eff, kappa, statistics)
-        if statistics == modes.BOSON:
-            e_n = channels.log_negativity_boson(sq.r, tol).value
-            fid = channels.fidelity_boson(omega_eff, kappa)
-        else:
-            e_n = channels.log_negativity_fermion(sq.r)
-            fid = channels.fidelity_fermion(sq)
-        return {
-            "kappa": kappa,
-            "Omega": omega_h,
-            "r": sq.r,
-            "N_occ": modes.occupation(omega_eff, kappa, statistics),
-            "E_N": e_n,
-            "F": fid,
-        }
-    except Exception as exc:  # physics errors become data
+        kappa = bh.kappa
+        r, n_occ, fid, neg = channels.mode_point(omega, m, statistics, kappa, bh.omega_h, tol)
+    except PhysicsDomainError as exc:  # physics errors become data
         token = _token_for(exc)
         return {name: token for name in OUTPUT_VOCABULARY}
+    return {"kappa": kappa, "Omega": bh.omega_h, "r": r, "N_occ": n_occ, "E_N": neg.value, "F": fid}
 
 
-def _format(value) -> str:
+def format_value(value) -> str:
+    """The CSV text of one value: floats to 17 significant digits."""
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
@@ -221,7 +194,7 @@ def run_sweep(spec: SweepSpec, path: str) -> int:
             for ax, value in zip(spec.axes, coords):
                 params[ax.name] = value
             cell = evaluate_cell(params)
-            out = [_format(v) for v in coords] + [_format(cell[o]) for o in spec.outputs]
+            out = [format_value(v) for v in coords] + [format_value(cell[o]) for o in spec.outputs]
             fh.write(",".join(out) + "\n")
             rows += 1
     return rows

@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 from bhent import channels, modes
-from bhent.errors import PhysicsDomainError
+from bhent.errors import PhysicsDomainError, SuperradiantModeError
 
 SERIES_LIMIT = math.log2(1.0 + math.sqrt(math.pi) / 2.0)
 
@@ -224,6 +224,32 @@ class TestMiniBHBounds:
 
     def test_invalid_grid(self):
         with pytest.raises(PhysicsDomainError):
+            channels.minibh_bounds("bosn")
+        with pytest.raises(PhysicsDomainError):
             channels.minibh_bounds(modes.BOSON, omega_rh_range=(0.5, 0.1))
         with pytest.raises(PhysicsDomainError):
             channels.minibh_bounds(modes.BOSON, omega_points=1)
+
+
+class TestModePoint:
+    @pytest.mark.parametrize("statistics", [modes.BOSON, modes.FERMION])
+    def test_matches_the_closed_forms(self, statistics):
+        # omega_eff = 1.5 - 2 * 0.25 = 1
+        r, n_occ, fid, e_n = channels.mode_point(1.5, 2, statistics, 0.8, 0.25, 1e-12)
+        sq = modes.squeeze(1.0, 0.8, statistics)
+        assert r == sq.r
+        assert n_occ == modes.occupation(1.0, 0.8, statistics)
+        if statistics == modes.BOSON:
+            assert e_n == channels.log_negativity_boson(sq.r, 1e-12)
+            assert fid == channels.fidelity_boson(1.0, 0.8)
+        else:
+            assert e_n == channels.NegativityResult(channels.log_negativity_fermion(sq.r), 0, 0.0)
+            assert fid == channels.fidelity_fermion(sq)
+
+    def test_domain_errors(self):
+        with pytest.raises(SuperradiantModeError):
+            channels.mode_point(0.5, 2, modes.BOSON, 1.0, 0.25, 1e-10)
+        with pytest.raises(PhysicsDomainError):
+            channels.mode_point(1.0, 0, "bosn", 1.0, 0.0, 1e-10)
+        with pytest.raises(PhysicsDomainError):
+            channels.mode_point(1.0, 0, modes.BOSON, 1.0, 0.0, 0.5)

@@ -82,6 +82,12 @@ class TestStaticHole:
         assert bh.inverse_kappa == pytest.approx(1.0 / bh.kappa, rel=1e-15)
         assert bh.temperature == pytest.approx(bh.kappa / (2.0 * math.pi), rel=1e-15)
 
+    def test_answers_as_a_rotating_hole(self):
+        bh = geometry.SchwarzschildBH(6, 0.5)
+        assert (bh.kappa, bh.omega_h, bh.angular_momentum) == (3.0, 0.0, 0.0)
+        with pytest.raises(PhysicsDomainError):
+            geometry.SchwarzschildBH(4, -1.0)
+
     def test_domain_errors(self):
         with pytest.raises(PhysicsDomainError):
             geometry.mass_from_horizon(3, 1.0)

@@ -51,6 +51,25 @@ class TestJacobiEigh:
             kernels.jacobi_eigh([[1.0, 0.5], [0.5, 2.0]])
 
 
+class TestTinyBlocks:
+    """Blocks whose squares underflow: the solver scales them by a power of two."""
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            [[0.0, 1e-200], [1e-200, 0.0]],
+            [[1e-310, 3e-310], [3e-310, 2e-310]],
+            [[2e-300, 1e-301, 0.0], [1e-301, -1e-300, 3e-301], [0.0, 3e-301, 5e-301]],
+        ],
+        ids=["1e-200", "subnormal", "3x3-below-1e-154"],
+    )
+    def test_matches_lapack(self, block):
+        w = kernels.jacobi_eigh(block)
+        ref = np.linalg.eigvalsh(np.array(block))
+        assert 0.0 not in w
+        assert np.max(np.abs(np.array(w) - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 # Seeded matrices on which an off-diagonal norm formed as
 # sum(a*a) - sum(diag(a)**2) misjudges convergence through cancellation:
 # the first group never stops although already converged, the second stops

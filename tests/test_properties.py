@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from bhent import channels, fock_oracle, kernels
+from bhent import channels, fock_oracle, kernels, modes
 
 SERIES_LIMIT = math.log2(1.0 + math.sqrt(math.pi) / 2.0)
 # Rounding slack: at t = 1 - 2^-52 the exact E_N exceeds SERIES_LIMIT by
@@ -57,6 +57,46 @@ def test_bookkeeping_certifies_tol(r, tol):
         assert 0.0 <= result.tail_bound < tol
     else:
         assert (result.terms_used, result.tail_bound) == (0, 0.0)
+
+
+# One mode at a time through channels.mode_point: E_N and F do not rise with
+# kappa and do not fall with omega, for bosons and fermions alike (the
+# abstract's "choose a higher frequency mode").  x = pi omega_eff / kappa
+# spans 3e-4 to 3e4, so both S(t) evaluators and the x > 350 limit are drawn.
+statistics = st.sampled_from([modes.BOSON, modes.FERMION])
+scales = st.floats(min_value=1e-2, max_value=1e2)
+corotation = st.tuples(st.integers(0, 2), st.floats(min_value=0.0, max_value=1.0))
+
+
+def _merit(omega_eff, m, omega_h, stats, kappa):
+    """(E_N result, F) at effective frequency omega_eff."""
+    _, _, fid, e_n = channels.mode_point(
+        omega_eff + m * omega_h, m, stats, kappa, omega_h, channels.DEFAULT_SERIES_TOL
+    )
+    return e_n, fid
+
+
+def _not_above(hi, lo):
+    (e_hi, f_hi), (e_lo, f_lo) = hi, lo
+    slack = (e_hi.tail_bound + e_lo.tail_bound) / math.log(2.0) + ROUNDING
+    assert e_hi.value <= e_lo.value + slack
+    assert f_hi <= f_lo + ROUNDING
+
+
+@seed(13)
+@PROPERTY
+@given(stats=statistics, omega=scales, k1=scales, k2=scales, rot=corotation)
+def test_mode_point_does_not_rise_with_kappa(stats, omega, k1, k2, rot):
+    lo, hi = sorted((k1, k2))
+    _not_above(_merit(omega, *rot, stats, hi), _merit(omega, *rot, stats, lo))
+
+
+@seed(14)
+@PROPERTY
+@given(stats=statistics, w1=scales, w2=scales, kappa=scales, rot=corotation)
+def test_mode_point_does_not_fall_with_omega(stats, w1, w2, kappa, rot):
+    lo, hi = sorted((w1, w2))
+    _not_above(_merit(lo, *rot, stats, kappa), _merit(hi, *rot, stats, kappa))
 
 
 # Entries at least 1e-6 in magnitude (or zero), so that no square underflows.

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -79,6 +80,21 @@ class TestSweepSpec:
     )
     def test_rejects_bad_values(self, axis, fixed):
         with pytest.raises(PhysicsDomainError):
+            sweep.SweepSpec(axes=(sweep.Axis(*axis),), fixed=fixed, outputs=("E_N",))
+
+    @pytest.mark.parametrize(
+        "axis, fixed, message",
+        [
+            (("omega", 0.1, 1.0, 3), {"d": 4}, "static geometry needs r_h or M with d"),
+            (("omega", 0.1, 1.0, 3), {"n": 2, "a": 0.1}, "rotating geometry needs mu with n"),
+            (("omega", 0.1, 1.0, 3), {"mu": 2.0}, "geometry needs d (static) or n (rotating)"),
+            (("r_h", 0.5, 2.0, 3), {"d": 4}, "a sweep needs omega or omega_rh"),
+        ],
+        ids=["static", "rotating", "no-route", "no-frequency"],
+    )
+    def test_rejects_incomplete_names(self, axis, fixed, message):
+        # every cell of such a grid would be NA:domain
+        with pytest.raises(PhysicsDomainError, match=re.escape(message)):
             sweep.SweepSpec(axes=(sweep.Axis(*axis),), fixed=fixed, outputs=("E_N",))
 
     def test_integral_floats_accepted(self):
@@ -183,6 +199,32 @@ class TestConfigFile:
         with pytest.raises(PhysicsDomainError):
             cli.read_config(str(cfg))
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("axis = omega:0.1:1:abc", "axis must be name:lo:hi:count[:scale]"),
+            ("fixed = d=abc", "fixed parameter d must be a number"),
+            ("outptu = E_N,F", "unknown key 'outptu'"),
+        ],
+        ids=["axis-count", "fixed-value", "misspelt-key"],
+    )
+    def test_bad_line_exits_3_before_any_csv(self, line, message, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"axis = omega:0.2:1.0:4\nfixed = d = 4\nfixed = r_h = 1\n{line}\n")
+        out = tmp_path / "x.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not out.exists()
+
+    def test_missing_config_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = cli.main(["sweep", "--config", str(tmp_path / "missing.cfg"), "--out", str(out)])
+        assert rc == cli.EXIT_IO == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "missing.cfg" in err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_success(self, capsys):
@@ -205,6 +247,34 @@ class TestExitCodes:
              "--fixed", "r_h=1.0", "--out", str(tmp_path / "missing" / "x.csv")]
         )
         assert rc == 4
+
+    def test_unwritable_report_path(self, tmp_path, capsys):
+        rc = cli.main(["oracle-check", "--tanhr", "0.2", "--trunc", "10",
+                       "--out", str(tmp_path / "missing" / "oc.csv")])
+        assert rc == 4
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["geom", "--d", "4", "--mass", "1", "--units", "si", "--mstar", "0"],
+            ["geom", "--d", "1000", "--mass", "1"],
+            ["geom", "--d", "10000000", "--rh", "1"],
+            ["tev", "--n", "1", "--mstar", "1e-300", "--mbh", "1"],
+            ["estimate", "radiation-density", "--temp", "1e200"],
+            ["estimate", "coupling-time", "--tbh", "1e-300"],
+        ],
+        ids=["mstar-zero", "d-1000", "d-1e7", "tev-overflow", "radiation-overflow",
+             "coupling-underflow"],
+    )
+    def test_float_range_exits_3(self, argv, capsys):
+        assert cli.main(argv) == cli.EXIT_PHYSICS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_teleport_takes_no_tol(self, capsys):
+        assert cli.main(["teleport", "--kappa", "1", "--omega", "1", "--tol", "1e-6"]) == 2
 
     def test_oracle_mismatch_truncation(self, tmp_path, capsys):
         rc = cli.main(
@@ -298,8 +368,10 @@ class TestExitCodes:
             ["--axis", "d:5:10:4", "--fixed", "r_h=1", "--fixed", "omega=1"],
             ["--axis", "omega:0.2:1.0:3", "--fixed", "d=4.7", "--fixed", "r_h=1"],
             ["--axis", "omega:0.2:1.0:3", "--fixed", "d=4", "--fixed", "r_h=nan"],
+            ["--axis", "omega:0.1:1:3", "--fixed", "d=4"],
         ],
-        ids=["statistics-typo", "non-integer-d-axis", "non-integer-d-fixed", "nan-fixed"],
+        ids=["statistics-typo", "non-integer-d-axis", "non-integer-d-fixed", "nan-fixed",
+             "no-geometry-route"],
     )
     def test_bad_sweep_spec_writes_no_csv(self, args, tmp_path, capsys):
         out = tmp_path / "x.csv"
