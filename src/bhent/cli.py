@@ -12,14 +12,15 @@ tev           TeV-gravity length scales
 
 Exit codes: 0 success; 2 invalid flags (teleport takes no --tol); 3 physics
 domain error, which also covers a non-finite numeric flag, a result outside
-the floating-point range, a malformed or unknown config line, and a sweep
-spec with a non-integer d/n/m, an unknown statistics, no complete geometry
-route or no frequency; 4 unreadable config or unwritable output path; 5
-oracle contract mismatch or a truncation too small for the gate (the
-oracle's trace deficit exceeds --tol); 6 internal contract violation (a
-numerical self-check failed, e.g. Jacobi non-convergence or a horizon
-residual).  The environment variable BHE_DEFAULT_TOL overrides the default
-series tolerance (1e-10) of entangle and sweep.
+the floating-point range (pi*omega_eff/kappa below the smallest normal float
+included), a malformed or unknown config line, and a sweep spec with a
+non-integer d/n/m, an unknown statistics, no complete geometry route or no
+frequency; 4 unreadable config or unwritable output path; 5 oracle contract
+mismatch or a truncation too small for the gate (the oracle's trace deficit
+exceeds --tol); 6 internal contract violation (a numerical self-check
+failed, e.g. Jacobi non-convergence or a horizon residual).  The environment
+variable BHE_DEFAULT_TOL overrides the default series tolerance (1e-10) of
+entangle and sweep.
 """
 
 from __future__ import annotations

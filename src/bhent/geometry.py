@@ -41,16 +41,17 @@ def gamma_half(twice_x: int) -> float:
     if twice_x < 1:
         raise PhysicsDomainError(f"gamma_half requires twice_x >= 1, got {twice_x}")
     if twice_x % 2 == 0:
-        m = twice_x // 2
         out = 1.0
-        for k in range(1, m):
+        for k in range(1, twice_x // 2):
             out *= k
-        return out
-    out = math.sqrt(math.pi)
-    x = 0.5
-    while x + 1 <= twice_x / 2:
-        out *= x
-        x += 1.0
+    else:
+        out = math.sqrt(math.pi)
+        x = 0.5
+        while x + 1 <= twice_x / 2:
+            out *= x
+            x += 1.0
+    if math.isinf(out):  # from twice_x = 344 on; a volume 1/inf would read 0
+        raise OverflowError(f"Gamma({twice_x}/2) overflows a float")
     return out
 
 

@@ -15,6 +15,7 @@ and x beyond ~700 degrades to the exact limits instead of overflowing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from bhent.errors import PhysicsDomainError, SuperradiantModeError
@@ -80,14 +81,23 @@ class SqueezingParams:
 
 
 def _check_ratio(omega_eff: float, kappa: float) -> float:
-    """x = pi omega_eff / kappa for finite, positive omega_eff and kappa."""
+    """x = pi omega_eff / kappa for finite, positive omega_eff and kappa.
+
+    x must also be a normal float: below sys.float_info.min, 1/expm1(2x)
+    overflows to inf, and at x = 0 log(-expm1(-x)) fails.
+    """
     if not (math.isfinite(omega_eff) and omega_eff > 0):
         raise PhysicsDomainError(
             f"effective frequency must be finite and positive, got {omega_eff}"
         )
     if not (math.isfinite(kappa) and kappa > 0):
         raise PhysicsDomainError(f"surface gravity must be finite and positive, got {kappa}")
-    return math.pi * omega_eff / kappa
+    x = math.pi * omega_eff / kappa
+    if x < sys.float_info.min:
+        raise PhysicsDomainError(
+            f"pi*omega_eff/kappa underflows: omega_eff={omega_eff}, kappa={kappa}"
+        )
+    return x
 
 
 def squeeze_boson(omega_eff: float, kappa: float) -> SqueezingParams:

@@ -2,9 +2,15 @@
 
 A sweep is a grid over up to three axes drawn from a fixed parameter
 vocabulary, plus fixed parameters; each grid cell is resolved to a black hole
-geometry and mode, and the requested outputs are evaluated independently per
-cell.  Physics errors inside a cell become `NA:<reason>` tokens instead of
-aborting the run, so superradiant or horizonless corners of a grid are data.
+geometry and mode, and the requested outputs are evaluated per cell.  Physics
+errors inside a cell become `NA:<reason>` tokens instead of aborting the run,
+so superradiant or horizonless corners of a grid are data.
+
+The grid is walked row-major, the last axis fastest.  A cell whose geometry
+parameters (GEOMETRY_PARAMETERS) equal the previous cell's reuses that cell's
+hole, or its NA token, instead of resolving it again; so a grid with its
+frequency axis last solves each hole once.  The reuse changes no byte of
+the CSV.
 """
 
 from __future__ import annotations
@@ -121,6 +127,10 @@ def _token_for(exc: PhysicsDomainError) -> str:
     return "NA:domain"
 
 
+# The parameters resolve_geometry reads: cells that agree on these share a hole.
+GEOMETRY_PARAMETERS = frozenset({"d", "n", "M", "mu", "r_h", "a", "a_star"})
+
+
 def geometry_gap(names) -> str:
     """Why `names` select no geometry route, or "" when they select one.
 
@@ -152,17 +162,22 @@ def resolve_geometry(params: dict) -> geometry.SchwarzschildBH | geometry.Rotati
     raise PhysicsDomainError(geometry_gap(params))
 
 
-def evaluate_cell(params: dict) -> dict[str, float | str]:
+def evaluate_cell(
+    params: dict, bh: geometry.SchwarzschildBH | geometry.RotatingBH | str
+) -> dict[str, float | str]:
     """Evaluate every supported output for one grid cell.
 
-    Returns finite floats, or NA tokens for cells outside the physical
-    domain.  Pure function of `params`; cells are independent.
+    `bh` is the hole resolve_geometry(params) returns, or the NA token of
+    the PhysicsDomainError it raises.  Returns finite floats, or NA tokens
+    for cells outside the physical domain.  Pure function of its arguments;
+    cells are independent.
     """
+    if isinstance(bh, str):
+        return {name: bh for name in OUTPUT_VOCABULARY}
     statistics = str(params.get("statistics", modes.BOSON))
     m = int(params.get("m", 0))
     tol = float(params.get("tol", channels.DEFAULT_SERIES_TOL))
     try:
-        bh = resolve_geometry(params)
         if "omega" in params:
             omega = float(params["omega"])
         elif "omega_rh" in params:
@@ -185,16 +200,32 @@ def format_value(value) -> str:
 
 
 def run_sweep(spec: SweepSpec, path: str) -> int:
-    """Evaluate the grid and write the CSV; returns the number of data rows."""
+    """Evaluate the grid and write the CSV; returns the number of data rows.
+
+    Holds one resolved hole (or NA token) at a time: the previous cell's,
+    keyed by the text of its geometry axis values.
+    """
+    # each axis value's CSV text, formatted once per sweep, walked as grid() is
+    texts = itertools.product(*([format_value(v) for v in ax.values()] for ax in spec.axes))
+    geometric = [ax.name in GEOMETRY_PARAMETERS for ax in spec.axes]
+    last_key, bh = None, None
     rows = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(spec.header()) + "\n")
-        for coords in spec.grid():
+        for coords, coord_texts in zip(spec.grid(), texts):
             params = dict(spec.fixed)
             for ax, value in zip(spec.axes, coords):
                 params[ax.name] = value
-            cell = evaluate_cell(params)
-            out = [format_value(v) for v in coords] + [format_value(cell[o]) for o in spec.outputs]
+            # .17g text round-trips a float, sign of zero included
+            key = [text for text, geo in zip(coord_texts, geometric) if geo]
+            if key != last_key:
+                last_key = key
+                try:
+                    bh = resolve_geometry(params)
+                except PhysicsDomainError as exc:  # physics errors become data
+                    bh = _token_for(exc)  # a token, not the exception: no traceback grows
+            cell = evaluate_cell(params, bh)
+            out = list(coord_texts) + [format_value(cell[o]) for o in spec.outputs]
             fh.write(",".join(out) + "\n")
             rows += 1
     return rows

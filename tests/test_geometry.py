@@ -32,6 +32,13 @@ class TestGammaHalf:
         with pytest.raises(PhysicsDomainError):
             geometry.gamma_half(0)
 
+    def test_overflow_raises(self):
+        # Gamma(171.5) ~ 9.5e307 is the last finite value; Gamma(172) = 171! is not
+        assert math.isfinite(geometry.gamma_half(343))
+        for twice_x in (344, 345, 1000):
+            with pytest.raises(OverflowError):
+                geometry.gamma_half(twice_x)
+
 
 class TestSphereVolume:
     def test_low_dimensions(self):
@@ -42,6 +49,12 @@ class TestSphereVolume:
     def test_domain(self):
         with pytest.raises(PhysicsDomainError):
             geometry.sphere_volume(0)
+
+    def test_overflow_is_not_a_zero_volume(self):
+        assert geometry.sphere_volume(342) > 0.0
+        for k in (343, 998, 1239, 1240):
+            with pytest.raises(OverflowError):
+                geometry.sphere_volume(k)
 
 
 class TestStaticHole:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -134,3 +135,21 @@ class TestDomainErrors:
     def test_non_finite_inputs(self, call):
         with pytest.raises(PhysicsDomainError, match="finite"):
             call()
+
+    @pytest.mark.parametrize("statistics", [modes.BOSON, modes.FERMION])
+    @pytest.mark.parametrize(
+        "omega_eff, kappa", [(1e-300, 1e300), (1e-310, 1.0), (5e-324, 1e-10)]
+    )
+    def test_underflowing_ratio(self, omega_eff, kappa, statistics):
+        # x = pi omega_eff / kappa is 0 or subnormal: 1/expm1(2x) would be inf
+        with pytest.raises(PhysicsDomainError, match="underflows"):
+            modes.squeeze(omega_eff, kappa, statistics)
+        with pytest.raises(PhysicsDomainError, match="underflows"):
+            modes.occupation(omega_eff, kappa, statistics)
+
+    @pytest.mark.parametrize("statistics", [modes.BOSON, modes.FERMION])
+    def test_smallest_normal_ratio_is_finite(self, statistics):
+        kappa, omega_eff = 1.0, sys.float_info.min  # x = pi * 2.2e-308
+        sq = modes.squeeze(omega_eff, kappa, statistics)
+        assert math.isfinite(sq.r)
+        assert math.isfinite(modes.occupation(omega_eff, kappa, statistics))

@@ -12,6 +12,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from bhent import channels, fock_oracle, kernels, modes
+from bhent.errors import PhysicsDomainError
 
 SERIES_LIMIT = math.log2(1.0 + math.sqrt(math.pi) / 2.0)
 # Rounding slack: at t = 1 - 2^-52 the exact E_N exceeds SERIES_LIMIT by
@@ -97,6 +98,31 @@ def test_mode_point_does_not_rise_with_kappa(stats, omega, k1, k2, rot):
 def test_mode_point_does_not_fall_with_omega(stats, w1, w2, kappa, rot):
     lo, hi = sorted((w1, w2))
     _not_above(_merit(lo, *rot, stats, kappa), _merit(hi, *rot, stats, kappa))
+
+
+# Every mode either has finite figures of merit or is refused with the
+# documented PhysicsDomainError: x = pi omega_eff / kappa ranges from 0
+# (below the smallest normal float) to inf, and omega_eff may be <= 0.
+log_uniform = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
+
+
+@seed(15)
+@PROPERTY
+@given(
+    stats=statistics,
+    omega=log_uniform,
+    kappa=log_uniform,
+    omega_h=st.one_of(st.just(0.0), log_uniform),
+    m=st.integers(-2, 2),
+)
+def test_mode_point_finite_or_domain_error(stats, omega, kappa, omega_h, m):
+    try:
+        r, n_occ, fid, e_n = channels.mode_point(
+            omega, m, stats, kappa, omega_h, channels.DEFAULT_SERIES_TOL
+        )
+    except PhysicsDomainError:
+        return
+    assert all(math.isfinite(v) for v in (r, n_occ, fid, e_n.value))
 
 
 # Entries at least 1e-6 in magnitude (or zero), so that no square underflows.

@@ -155,14 +155,101 @@ class TestRunSweep:
         assert "NA:naked_singularity" in body[1]  # a = 1, a^2 >= mu
         assert "NA:naked_singularity" in body[2]
 
+    def test_underflowing_cells_are_na(self, tmp_path):
+        # kappa = 5e299, so x = pi omega / kappa is 0: a domain error per cell
+        out = tmp_path / "u.csv"
+        argv = ["sweep", "--axis", "omega:1e-300:1e-299:2", "--fixed", "d=4",
+                "--fixed", "r_h=1e-300", "--output", "r,N_occ,E_N,F", "--out", str(out)]
+        assert cli.main(argv) == 0
+        body = out.read_text().splitlines()[1:]
+        assert body == [
+            "1e-300,NA:domain,NA:domain,NA:domain,NA:domain",
+            "9.9999999999999999e-300,NA:domain,NA:domain,NA:domain,NA:domain",
+        ]
+
     def test_evaluate_cell_consistency(self):
-        cell = sweep.evaluate_cell({"d": 4, "r_h": 1.0, "omega": 0.5})
+        bh = sweep.resolve_geometry({"d": 4, "r_h": 1.0})
+        cell = sweep.evaluate_cell({"d": 4, "r_h": 1.0, "omega": 0.5}, bh)
         assert cell["kappa"] == pytest.approx(0.5, rel=1e-14)
         assert cell["Omega"] == 0.0
         assert 0.0 < cell["F"] < 1.0
         # omega_rh route gives the same numbers
-        cell2 = sweep.evaluate_cell({"d": 4, "r_h": 1.0, "omega_rh": 0.5})
+        cell2 = sweep.evaluate_cell({"d": 4, "r_h": 1.0, "omega_rh": 0.5}, bh)
         assert cell2["E_N"] == cell["E_N"]
+        # a geometry token fills every output
+        na = sweep.evaluate_cell({"n": 1, "mu": 1.0, "a": 1.0}, "NA:naked_singularity")
+        assert set(na.values()) == {"NA:naked_singularity"}
+
+
+# Geometry parameters: a run of cells that agree on these shares one hole.
+GEOMETRY_NAMES = {"d", "n", "M", "mu", "r_h", "a", "a_star"}
+# n = 1, mu = 1: a >= 1 is a naked singularity, and at a = 0.5 the horizon
+# turns with Omega = 0.5, so m = 1 modes with omega <= 0.5 are superradiant.
+ROTATING = {"n": 1, "mu": 1.0, "m": 1}
+NA_BOTH = {"NA:naked_singularity", "NA:superradiant"}
+A_AXIS = sweep.Axis("a", 0.0, 1.5, 4)
+OMEGA_AXIS = sweep.Axis("omega", 0.1, 1.0, 4)
+
+
+def _per_cell_csv(spec) -> bytes:
+    """The sweep's CSV with each cell's hole resolved afresh."""
+    lines = [",".join(spec.header())]
+    for coords in spec.grid():
+        params = dict(spec.fixed)
+        params.update(zip((ax.name for ax in spec.axes), coords))
+        try:
+            bh = sweep.resolve_geometry(params)
+        except PhysicsDomainError as exc:
+            bh = sweep._token_for(exc)
+        cell = sweep.evaluate_cell(params, bh)
+        values = list(coords) + [cell[o] for o in spec.outputs]
+        lines.append(",".join(sweep.format_value(v) for v in values))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _geometry_runs(spec) -> int:
+    """Runs of consecutive cells (row-major) with equal geometry values."""
+    geo = [i for i, ax in enumerate(spec.axes) if ax.name in GEOMETRY_NAMES]
+    keys = [tuple(coords[i] for i in geo) for coords in spec.grid()]
+    return sum(1 for i, key in enumerate(keys) if i == 0 or key != keys[i - 1])
+
+
+class TestHoleReuse:
+    @pytest.mark.parametrize(
+        "axes, fixed, tokens",
+        [
+            ((OMEGA_AXIS, A_AXIS), {**ROTATING, "statistics": "fermion"}, NA_BOTH),
+            ((A_AXIS, OMEGA_AXIS), {**ROTATING, "statistics": "fermion"}, NA_BOTH),
+            ((A_AXIS, sweep.Axis("omega", 0.1, 1.0, 3), sweep.Axis("mu", 1.0, 2.0, 2)),
+             {"n": 1, "m": 1}, NA_BOTH),
+            ((sweep.Axis("mu", 1.0, 2.0, 2), A_AXIS, OMEGA_AXIS), {"n": 1, "m": 1}, NA_BOTH),
+            ((sweep.Axis("a_star", 0.0, 0.9, 3), OMEGA_AXIS), {"n": 2, "mu": 2.0, "m": 2},
+             {"NA:superradiant"}),
+            ((sweep.Axis("d", 4, 6, 3), sweep.Axis("M", 1, 10, 2),
+              sweep.Axis("omega_rh", 0.2, 1.0, 3)), {}, set()),
+            ((OMEGA_AXIS,), {**ROTATING, "a": 0.5}, {"NA:superradiant"}),
+        ],
+        ids=["geometry-innermost", "geometry-outermost", "geometry-mixed",
+             "geometry-outer-two", "a-star-outer", "static-d-and-mass", "no-geometry-axis"],
+    )
+    def test_same_bytes_one_resolve_per_geometry_run(
+        self, axes, fixed, tokens, tmp_path, monkeypatch
+    ):
+        spec = sweep.SweepSpec(axes, fixed, sweep.OUTPUT_VOCABULARY)
+        expected = _per_cell_csv(spec)
+        assert tokens <= set(re.findall(r"NA:\w+", expected.decode()))
+
+        calls = []
+        resolve = sweep.resolve_geometry
+        monkeypatch.setattr(
+            sweep, "resolve_geometry", lambda params: calls.append(params) or resolve(params)
+        )
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        sweep.run_sweep(spec, str(first))
+        assert len(calls) == _geometry_runs(spec)
+        sweep.run_sweep(spec, str(second))
+        assert first.read_bytes() == expected
+        assert second.read_bytes() == expected
 
 
 class TestConfigFile:
@@ -263,9 +350,11 @@ class TestExitCodes:
             ["tev", "--n", "1", "--mstar", "1e-300", "--mbh", "1"],
             ["estimate", "radiation-density", "--temp", "1e200"],
             ["estimate", "coupling-time", "--tbh", "1e-300"],
+            ["geom", "--d", "1000", "--rh", "1"],
+            ["entangle", "--kappa", "1e300", "--omega", "1e-300"],
         ],
         ids=["mstar-zero", "d-1000", "d-1e7", "tev-overflow", "radiation-overflow",
-             "coupling-underflow"],
+             "coupling-underflow", "d-1000-rh", "ratio-underflow"],
     )
     def test_float_range_exits_3(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_PHYSICS
