@@ -15,8 +15,11 @@ the CSV.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 
 from bhent import channels, geometry, modes
@@ -210,7 +213,7 @@ def run_sweep(spec: SweepSpec, path: str) -> int:
     geometric = [ax.name in GEOMETRY_PARAMETERS for ax in spec.axes]
     last_key, bh = None, None
     rows = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _rewritten(path) as fh:
         fh.write(",".join(spec.header()) + "\n")
         for coords, coord_texts in zip(spec.grid(), texts):
             params = dict(spec.fixed)
@@ -229,3 +232,20 @@ def run_sweep(spec: SweepSpec, path: str) -> int:
             fh.write(",".join(out) + "\n")
             rows += 1
     return rows
+
+
+@contextlib.contextmanager
+def _rewritten(path: str):
+    """`path` open for text writing from its start, cut to what was written on exit.
+
+    An existing file is not truncated to zero first: on ext4 that frees its
+    blocks and forces a flush at close, which costs more than a small sweep
+    and varies from run to run.  An aborted sweep leaves the rows it wrote.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null or a pipe cannot be cut
+                fh.truncate()

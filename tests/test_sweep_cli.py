@@ -127,6 +127,35 @@ class TestRunSweep:
         assert text.count("\n") == 13
         assert "\r" not in text
 
+    @pytest.mark.parametrize("old", [b"", b"x\n", b"junk," * 4000])
+    def test_overwrite_matches_fresh_file(self, old, tmp_path):
+        fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+        sweep.run_sweep(spec_2d(), str(fresh))
+        reused.write_bytes(old)
+        assert sweep.run_sweep(spec_2d(), str(reused)) == 12
+        assert reused.read_bytes() == fresh.read_bytes()
+
+    def test_abort_leaves_only_rows_written(self, tmp_path, monkeypatch):
+        path = tmp_path / "abort.csv"
+        path.write_bytes(b"junk," * 4000)
+        calls = []
+
+        def failing(params, bh):
+            calls.append(params)
+            if len(calls) == 3:
+                raise OverflowError("injected")
+            return real(params, bh)
+
+        real = sweep.evaluate_cell
+        monkeypatch.setattr(sweep, "evaluate_cell", failing)
+        with pytest.raises(OverflowError):
+            sweep.run_sweep(spec_2d(), str(path))
+        assert path.read_text().count("\n") == 3  # header and two rows, no junk
+        assert "junk" not in path.read_text()
+
+    def test_non_regular_output(self):
+        assert sweep.run_sweep(spec_2d(), os.devnull) == 12
+
     def test_superradiant_cells_are_na(self, tmp_path):
         spec = sweep.SweepSpec(
             axes=(sweep.Axis("omega", 0.1, 1.0, 10),),
