@@ -29,7 +29,6 @@ is surfaced in reports.fidelity_boson_rows, never silently reconciled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from bhent import geometry, modes
 from bhent.errors import ContractViolationError, PhysicsDomainError
@@ -72,13 +71,22 @@ _ZETA_NEG_HALF = (
 _ZETA_BOUND_0 = 2.0 * 2.612375348685488 * _GAMMA_3_2 / (2.0 * math.pi) ** 1.5
 
 
-@dataclass(frozen=True)
 class NegativityResult:
-    """Logarithmic negativity with series bookkeeping."""
+    """Logarithmic negativity with series bookkeeping; equal when all three fields are."""
 
-    value: float
-    terms_used: int
-    tail_bound: float
+    __slots__ = ("value", "terms_used", "tail_bound")
+
+    def __init__(self, value: float, terms_used: int, tail_bound: float) -> None:
+        self.value = value
+        self.terms_used = terms_used
+        self.tail_bound = tail_bound
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not NegativityResult:
+            return NotImplemented
+        return (self.value, self.terms_used, self.tail_bound) == (
+            other.value, other.terms_used, other.tail_bound
+        )
 
 
 def neg_eigenvalue_boson(r: float, n: int) -> float:
@@ -225,16 +233,29 @@ def _check_fermion_r(r: float) -> None:
         raise PhysicsDomainError(f"fermionic squeezing parameter must be in [0, pi/4], got {r}")
 
 
-@dataclass(frozen=True)
 class MiniBHBounds:
-    """Extrema of E_N and F over a mini-black-hole parameter grid."""
+    """Extrema of E_N and F over a mini-black-hole parameter grid.
 
-    statistics: str
-    e_n_max: float
-    e_n_argmax: tuple[float, int, float]  # (omega*r_h, n, a_star)
-    f_max: float
-    f_argmax: tuple[float, int, float]
-    grid_size: int
+    Each arg-max is an (omega*r_h, n, a_star) triple.
+    """
+
+    __slots__ = ("statistics", "e_n_max", "e_n_argmax", "f_max", "f_argmax", "grid_size")
+
+    def __init__(
+        self,
+        statistics: str,
+        e_n_max: float,
+        e_n_argmax: tuple[float, int, float],
+        f_max: float,
+        f_argmax: tuple[float, int, float],
+        grid_size: int,
+    ) -> None:
+        self.statistics = statistics
+        self.e_n_max = e_n_max
+        self.e_n_argmax = e_n_argmax
+        self.f_max = f_max
+        self.f_argmax = f_argmax
+        self.grid_size = grid_size
 
 
 def minibh_bounds(

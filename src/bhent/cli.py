@@ -30,7 +30,7 @@ import math
 import os
 import sys
 
-from bhent import channels, estimates, geometry, modes, sweep
+from bhent import channels, geometry, modes, sweep
 from bhent.errors import ContractViolationError, PhysicsDomainError, TruncationError
 
 EXIT_OK = 0
@@ -249,6 +249,8 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from bhent import estimates  # imported here, as the oracle is in oracle-check
+
     if args.what == "coupling-time":
         cavity = estimates.CavitySpec(args.dl, args.vc)
         mass = args.msun * estimates.SI.m_sun if args.msun is not None else None

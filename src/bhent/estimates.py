@@ -14,20 +14,28 @@ from the geometric, natural-unit surface gravity in bhent.geometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from bhent.errors import PhysicsDomainError
 
 
-@dataclass(frozen=True)
 class SIConstants:
     """CODATA-2018 values, SI units."""
 
-    c: float = 299_792_458.0
-    h: float = 6.626_070_15e-34
-    k_b: float = 1.380_649e-23
-    g_newton: float = 6.674_30e-11
-    m_sun: float = 1.988_92e30
+    __slots__ = ("c", "h", "k_b", "g_newton", "m_sun")
+
+    def __init__(
+        self,
+        c: float = 299_792_458.0,
+        h: float = 6.626_070_15e-34,
+        k_b: float = 1.380_649e-23,
+        g_newton: float = 6.674_30e-11,
+        m_sun: float = 1.988_92e30,
+    ) -> None:
+        self.c = c
+        self.h = h
+        self.k_b = k_b
+        self.g_newton = g_newton
+        self.m_sun = m_sun
 
     @property
     def hbar(self) -> float:
@@ -42,16 +50,16 @@ class SIConstants:
 SI = SIConstants()
 
 
-@dataclass(frozen=True)
 class CavitySpec:
     """Thick-walled cavity: wall thickness (m) and inner volume (m^3)."""
 
-    wall_thickness: float = 1.0
-    volume: float = 1.0
+    __slots__ = ("wall_thickness", "volume")
 
-    def __post_init__(self) -> None:
-        if self.wall_thickness <= 0 or self.volume <= 0:
+    def __init__(self, wall_thickness: float = 1.0, volume: float = 1.0) -> None:
+        if wall_thickness <= 0 or volume <= 0:
             raise PhysicsDomainError("cavity dimensions must be positive")
+        self.wall_thickness = wall_thickness
+        self.volume = volume
 
 
 def radiation_density(temperature: float) -> float:
@@ -75,13 +83,22 @@ def acceleration_surface_gravity(t_bh: float) -> float:
     return 2.0 * math.pi * SI.c * SI.k_b * t_bh / SI.hbar
 
 
-@dataclass(frozen=True)
 class CouplingTimeResult:
-    time_s: float
-    kappa_si: float
-    redshift_ratio: float  # Delta nu / nu_0 = kappa dl / c^2
-    energy_change_j: float
-    t_bh: float
+    __slots__ = ("time_s", "kappa_si", "redshift_ratio", "energy_change_j", "t_bh")
+
+    def __init__(
+        self,
+        time_s: float,
+        kappa_si: float,
+        redshift_ratio: float,  # Delta nu / nu_0 = kappa dl / c^2
+        energy_change_j: float,
+        t_bh: float,
+    ) -> None:
+        self.time_s = time_s
+        self.kappa_si = kappa_si
+        self.redshift_ratio = redshift_ratio
+        self.energy_change_j = energy_change_j
+        self.t_bh = t_bh
 
 
 def coupling_time(

@@ -30,8 +30,6 @@ silently picks one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from bhent.errors import ContractViolationError, PhysicsDomainError, TruncationError
 from bhent.kernels import jacobi_eigh
@@ -45,7 +43,6 @@ DEFAULT_MAX_DEFICIT = 1e-8
 Label = tuple
 
 
-@dataclass(frozen=True)
 class TruncatedDensityMatrix:
     """Sparse real symmetric matrix with labelled basis states.
 
@@ -57,15 +54,18 @@ class TruncatedDensityMatrix:
     finite constructions).
     """
 
-    basis: tuple[Label, ...]
-    entries: dict[tuple[Label, Label], float]
-    trace_deficit: float = 0.0
+    __slots__ = ("basis", "entries", "trace_deficit")
 
-    def __post_init__(self) -> None:
-        labels = set(self.basis)
-        if len(labels) != len(self.basis):
+    def __init__(
+        self,
+        basis: tuple[Label, ...],
+        entries: dict[tuple[Label, Label], float],
+        trace_deficit: float = 0.0,
+    ) -> None:
+        labels = set(basis)
+        if len(labels) != len(basis):
             raise ContractViolationError("basis repeats a label")
-        entries = {key: v for key, v in self.entries.items() if v != 0.0}
+        entries = {key: v for key, v in entries.items() if v != 0.0}
         scale = max(max(map(abs, entries.values()), default=0.0), 1.0)
         for (i, j), v in entries.items():
             if i not in labels or j not in labels:
@@ -77,7 +77,9 @@ class TruncatedDensityMatrix:
                 asym = abs(v - entries.get((j, i), 0.0))
                 if asym > 1e-14 * scale:
                     raise ContractViolationError(f"density matrix asymmetry {asym} at {(i, j)}")
-        object.__setattr__(self, "entries", entries)
+        self.basis = basis
+        self.entries = entries
+        self.trace_deficit = trace_deficit
 
     @property
     def dim(self) -> int:
@@ -87,18 +89,16 @@ class TruncatedDensityMatrix:
         return _diagonal_sum(self.entries)
 
 
-@dataclass(frozen=True)
 class DualRailQubit:
     """Logical qubit alpha|0> + beta|1> in dual-rail encoding (real amplitudes)."""
 
-    alpha: float
-    beta: float
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self) -> None:
-        if abs(self.alpha**2 + self.beta**2 - 1.0) > 1e-12:
-            raise PhysicsDomainError(
-                f"qubit amplitudes not normalised: {self.alpha}, {self.beta}"
-            )
+    def __init__(self, alpha: float, beta: float) -> None:
+        if abs(alpha**2 + beta**2 - 1.0) > 1e-12:
+            raise PhysicsDomainError(f"qubit amplitudes not normalised: {alpha}, {beta}")
+        self.alpha = alpha
+        self.beta = beta
 
     def conditional(self, i: int, j: int) -> tuple[float, float]:
         """Amplitudes (x_ij, y_ij) of the state conditioned on measurement (i, j)."""
@@ -291,10 +291,12 @@ def spectrum(rho: TruncatedDensityMatrix) -> list[float]:
     return sorted(eig)
 
 
-@dataclass(frozen=True)
 class NumericNegativity:
-    negativity: float
-    log_negativity: float
+    __slots__ = ("negativity", "log_negativity")
+
+    def __init__(self, negativity: float, log_negativity: float) -> None:
+        self.negativity = negativity
+        self.log_negativity = log_negativity
 
 
 def negativity_numeric(rho: TruncatedDensityMatrix) -> NumericNegativity:
@@ -383,10 +385,17 @@ def bob_post_state_fermionic(
 
 
 def _fused_dot(x: list[float], y: list[float]) -> float:
-    """sum x[k] y[k] from 0.0, each multiply-add rounded once (a fused multiply-add)."""
+    """sum x[k] y[k] from 0.0, each multiply-add rounded once (a fused multiply-add).
+
+    Each step writes acc + a*b exactly as one ratio of integers; int / int
+    true division rounds that ratio correctly, as float(Fraction) does.
+    """
     acc = 0.0
     for a, b in zip(x, y):
-        acc = float(Fraction(a) * Fraction(b) + Fraction(acc))
+        na, da = a.as_integer_ratio()
+        nb, db = b.as_integer_ratio()
+        nc, dc = acc.as_integer_ratio()
+        acc = (na * nb * dc + nc * da * db) / (da * db * dc)
     return acc
 
 

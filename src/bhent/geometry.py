@@ -2,7 +2,7 @@
 
 Covers d-dimensional static (Schwarzschild-Tangherlini) holes and singly
 rotating (4+n)-dimensional holes.  Everything here is a pure function of its
-inputs; the dataclasses only cache derived quantities.
+inputs; the hole classes hold their parameters and cache derived quantities.
 
 Conventions
 -----------
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 from bhent.errors import ContractViolationError, NakedSingularityError, PhysicsDomainError
 
@@ -72,7 +71,10 @@ def _check_static(d: int, r_h: float) -> None:
 def mass_from_horizon(d: int, r_h: float) -> float:
     """Mass of the static d-dimensional hole, M = (d-2) r_h^(d-3) Omega_{d-2} / (16 pi)."""
     _check_static(d, r_h)
-    return (d - 2) * r_h ** (d - 3) * sphere_volume(d - 2) / (16.0 * math.pi)
+    mass = (d - 2) * r_h ** (d - 3) * sphere_volume(d - 2) / (16.0 * math.pi)
+    if mass == 0.0:  # r_h^(d-3) underflowed; the hole would read M = 0
+        raise PhysicsDomainError(f"mass underflows to 0 for d={d}, r_h={r_h}")
+    return mass
 
 
 def horizon_from_mass(d: int, mass: float) -> float:
@@ -145,7 +147,6 @@ def local_temperature(t_bh: float, d: int, r_h: float, r: float) -> float:
     return t_bh / math.sqrt(f)
 
 
-@dataclass(frozen=True)
 class SchwarzschildBH:
     """Static d-dimensional black hole, parameterised by (d, r_h).
 
@@ -153,15 +154,15 @@ class SchwarzschildBH:
     questions as a RotatingBH.
     """
 
-    d: int
-    r_h: float
-    kappa: float = field(init=False)
-    omega_h = 0.0  # not annotated: class constants, not fields
+    __slots__ = ("d", "r_h", "kappa")
+    omega_h = 0.0  # class constants, outside __slots__
     angular_momentum = 0.0
 
-    def __post_init__(self) -> None:
+    def __init__(self, d: int, r_h: float) -> None:
+        self.d = d
+        self.r_h = r_h
         # surface_gravity_schw checks (d, r_h) before it computes kappa
-        object.__setattr__(self, "kappa", surface_gravity_schw(self.d, self.r_h))
+        self.kappa = surface_gravity_schw(d, r_h)
 
     @classmethod
     def from_mass(cls, d: int, mass: float) -> "SchwarzschildBH":
@@ -334,26 +335,18 @@ def rotating_mass_angmom(n: int, mu: float, a: float) -> tuple[float, float]:
     return mass, 2.0 * a * mass / (n + 2)
 
 
-@dataclass(frozen=True)
 class RotatingBH:
     """Singly rotating (4+n)-dimensional black hole with parameters (n, mu, a)."""
 
-    n: int
-    mu: float
-    a: float
-    r_h: float = field(init=False)
-    a_star: float = field(init=False)
-    kappa: float = field(init=False)
-    omega_h: float = field(init=False)
+    __slots__ = ("n", "mu", "a", "r_h", "a_star", "kappa", "omega_h")
 
-    def __post_init__(self) -> None:
-        r_h = rotating_horizon(self.n, self.mu, self.a)
-        a_star = self.a / r_h
-        kappa, omega = rotating_kappa_omega(self.n, r_h, a_star)
-        object.__setattr__(self, "r_h", r_h)
-        object.__setattr__(self, "a_star", a_star)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "omega_h", omega)
+    def __init__(self, n: int, mu: float, a: float) -> None:
+        self.n = n
+        self.mu = mu
+        self.a = a
+        self.r_h = rotating_horizon(n, mu, a)
+        self.a_star = a / self.r_h
+        self.kappa, self.omega_h = rotating_kappa_omega(n, self.r_h, self.a_star)
 
     @classmethod
     def from_a_star(cls, n: int, mu: float, a_star: float) -> "RotatingBH":
@@ -378,7 +371,6 @@ class RotatingBH:
         return hawking_temperature(self.kappa)
 
 
-@dataclass(frozen=True)
 class TevScales:
     """TeV-gravity length scales for n extra dimensions.
 
@@ -387,15 +379,16 @@ class TevScales:
     horizon radius from the static mass formula with G_{4+n} = M_*^-(n+2).
     """
 
-    n: int
-    m_star: float
-    m_bh: float
+    __slots__ = ("n", "m_star", "m_bh")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise PhysicsDomainError(f"TeV scales need n >= 1, got {self.n}")
-        if self.m_star <= 0 or self.m_bh <= 0:
+    def __init__(self, n: int, m_star: float, m_bh: float) -> None:
+        if n < 1:
+            raise PhysicsDomainError(f"TeV scales need n >= 1, got {n}")
+        if m_star <= 0 or m_bh <= 0:
             raise PhysicsDomainError("masses must be positive")
+        self.n = n
+        self.m_star = m_star
+        self.m_bh = m_bh
 
     @property
     def extra_dimension_size_m(self) -> float:

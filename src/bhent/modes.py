@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from bhent.errors import PhysicsDomainError, SuperradiantModeError
 
@@ -27,23 +26,21 @@ FERMION = "fermion"
 _X_OVERFLOW = 350.0
 
 
-@dataclass(frozen=True)
 class ModeSpec:
     """A single field mode: frequency, azimuthal number, statistics."""
 
-    omega: float
-    m: int = 0
-    statistics: str = BOSON
+    __slots__ = ("omega", "m", "statistics")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise PhysicsDomainError(
-                f"mode frequency must be finite and positive, got {self.omega}"
-            )
-        if not math.isfinite(self.m):
-            raise PhysicsDomainError(f"azimuthal number must be finite, got {self.m}")
-        if self.statistics not in (BOSON, FERMION):
-            raise PhysicsDomainError(f"unknown statistics {self.statistics!r}")
+    def __init__(self, omega: float, m: int = 0, statistics: str = BOSON) -> None:
+        if not (math.isfinite(omega) and omega > 0):
+            raise PhysicsDomainError(f"mode frequency must be finite and positive, got {omega}")
+        if not math.isfinite(m):
+            raise PhysicsDomainError(f"azimuthal number must be finite, got {m}")
+        if statistics not in (BOSON, FERMION):
+            raise PhysicsDomainError(f"unknown statistics {statistics!r}")
+        self.omega = omega
+        self.m = m
+        self.statistics = statistics
 
 
 def effective_frequency(mode: ModeSpec, omega_h: float) -> float:
@@ -56,19 +53,29 @@ def effective_frequency(mode: ModeSpec, omega_h: float) -> float:
     return eff
 
 
-@dataclass(frozen=True)
 class SqueezingParams:
     """Bogoliubov squeezing parameter r with its cached trig/hyperbolic values.
 
     For bosons (tanh_r, cosh_r) are populated; for fermions (cos_r, sin_r).
     """
 
-    statistics: str
-    r: float
-    tanh_r: float = 0.0
-    cosh_r: float = 1.0
-    cos_r: float = 1.0
-    sin_r: float = 0.0
+    __slots__ = ("statistics", "r", "tanh_r", "cosh_r", "cos_r", "sin_r")
+
+    def __init__(
+        self,
+        statistics: str,
+        r: float,
+        tanh_r: float = 0.0,
+        cosh_r: float = 1.0,
+        cos_r: float = 1.0,
+        sin_r: float = 0.0,
+    ) -> None:
+        self.statistics = statistics
+        self.r = r
+        self.tanh_r = tanh_r
+        self.cosh_r = cosh_r
+        self.cos_r = cos_r
+        self.sin_r = sin_r
 
     @property
     def occupation(self) -> float:

@@ -3,8 +3,9 @@
 A sweep is a grid over up to three axes drawn from a fixed parameter
 vocabulary, plus fixed parameters; each grid cell is resolved to a black hole
 geometry and mode, and the requested outputs are evaluated per cell.  Physics
-errors inside a cell become `NA:<reason>` tokens instead of aborting the run,
-so superradiant or horizonless corners of a grid are data.
+errors inside a cell, and a hole outside the float range, become `NA:<reason>`
+tokens instead of aborting the run, so superradiant or horizonless corners of
+a grid are data.
 
 The grid is walked row-major, the last axis fastest.  A cell whose geometry
 parameters (GEOMETRY_PARAMETERS) equal the previous cell's reuses that cell's
@@ -20,7 +21,6 @@ import itertools
 import math
 import os
 import stat
-from dataclasses import dataclass, field
 
 from bhent import channels, geometry, modes
 from bhent.errors import NakedSingularityError, PhysicsDomainError, SuperradiantModeError
@@ -53,23 +53,23 @@ def _check_value(name: str, value) -> None:
         channels.check_series_tol(value)
 
 
-@dataclass(frozen=True)
 class Axis:
-    name: str
-    lo: float
-    hi: float
-    count: int
-    scale: str = "linear"
+    __slots__ = ("name", "lo", "hi", "count", "scale")
 
-    def __post_init__(self) -> None:
-        if self.name not in PARAMETER_VOCABULARY:
-            raise PhysicsDomainError(f"unknown sweep parameter {self.name!r}")
-        if self.count < 2:
-            raise PhysicsDomainError(f"axis {self.name} needs at least 2 points")
-        if self.scale not in ("linear", "log"):
-            raise PhysicsDomainError(f"axis scale must be linear or log, got {self.scale!r}")
-        if self.scale == "log" and (self.lo <= 0 or self.hi <= 0):
-            raise PhysicsDomainError(f"log axis {self.name} needs positive endpoints")
+    def __init__(self, name: str, lo: float, hi: float, count: int, scale: str = "linear") -> None:
+        if name not in PARAMETER_VOCABULARY:
+            raise PhysicsDomainError(f"unknown sweep parameter {name!r}")
+        if count < 2:
+            raise PhysicsDomainError(f"axis {name} needs at least 2 points")
+        if scale not in ("linear", "log"):
+            raise PhysicsDomainError(f"axis scale must be linear or log, got {scale!r}")
+        if scale == "log" and (lo <= 0 or hi <= 0):
+            raise PhysicsDomainError(f"log axis {name} needs positive endpoints")
+        self.name = name
+        self.lo = lo
+        self.hi = hi
+        self.count = count
+        self.scale = scale
 
     def values(self) -> list[float]:
         if self.scale == "log":
@@ -78,40 +78,44 @@ class Axis:
         return [self.lo + (self.hi - self.lo) * i / (self.count - 1) for i in range(self.count)]
 
 
-@dataclass(frozen=True)
 class SweepSpec:
-    axes: tuple[Axis, ...]
-    fixed: dict = field(default_factory=dict)
-    outputs: tuple[str, ...] = ("E_N",)
+    __slots__ = ("axes", "fixed", "outputs")
 
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.axes) <= 3:
+    def __init__(
+        self, axes: tuple[Axis, ...], fixed: dict | None = None, outputs: tuple[str, ...] = ("E_N",)
+    ) -> None:
+        if fixed is None:
+            fixed = {}  # a fresh dict per spec, not one shared default
+        if not 1 <= len(axes) <= 3:
             raise PhysicsDomainError("a sweep needs between 1 and 3 axes")
-        names = [ax.name for ax in self.axes]
+        names = [ax.name for ax in axes]
         if len(set(names)) != len(names):
             raise PhysicsDomainError("duplicate axis names")
-        for key, value in self.fixed.items():
+        for key, value in fixed.items():
             if key not in PARAMETER_VOCABULARY:
                 raise PhysicsDomainError(f"unknown fixed parameter {key!r}")
             _check_value(key, value)
-        for ax in self.axes:
+        for ax in axes:
             if not (math.isfinite(ax.lo) and math.isfinite(ax.hi)):
                 raise PhysicsDomainError(
                     f"axis {ax.name} needs finite endpoints, got {ax.lo}, {ax.hi}"
                 )
             for value in ax.values():
                 _check_value(ax.name, value)
-        for out in self.outputs:
+        for out in outputs:
             if out not in OUTPUT_VOCABULARY:
                 raise PhysicsDomainError(f"unknown output {out!r}")
-        if not self.outputs:
+        if not outputs:
             raise PhysicsDomainError("at least one output is required")
-        names = set(self.fixed).union(names)
+        names = set(fixed).union(names)
         gap = geometry_gap(names)
         if gap:
             raise PhysicsDomainError(gap)
         if not names & {"omega", "omega_rh"}:
             raise PhysicsDomainError("a sweep needs omega or omega_rh")
+        self.axes = axes
+        self.fixed = fixed
+        self.outputs = outputs
 
     def header(self) -> list[str]:
         return [ax.name for ax in self.axes] + list(self.outputs)
@@ -121,8 +125,8 @@ class SweepSpec:
         return itertools.product(*(ax.values() for ax in self.axes))
 
 
-def _token_for(exc: PhysicsDomainError) -> str:
-    """The NA token a cell outside the physical domain writes."""
+def _token_for(exc: ArithmeticError | PhysicsDomainError) -> str:
+    """The NA token a cell outside the physical domain or the float range writes."""
     if isinstance(exc, SuperradiantModeError):
         return "NA:superradiant"
     if isinstance(exc, NakedSingularityError):
@@ -171,9 +175,9 @@ def evaluate_cell(
     """Evaluate every supported output for one grid cell.
 
     `bh` is the hole resolve_geometry(params) returns, or the NA token of
-    the PhysicsDomainError it raises.  Returns finite floats, or NA tokens
-    for cells outside the physical domain.  Pure function of its arguments;
-    cells are independent.
+    the PhysicsDomainError, OverflowError or ZeroDivisionError it raises.
+    Returns finite floats, or NA tokens for cells outside the physical
+    domain.  Pure function of its arguments; cells are independent.
     """
     if isinstance(bh, str):
         return {name: bh for name in OUTPUT_VOCABULARY}
@@ -225,7 +229,7 @@ def run_sweep(spec: SweepSpec, path: str) -> int:
                 last_key = key
                 try:
                     bh = resolve_geometry(params)
-                except PhysicsDomainError as exc:  # physics errors become data
+                except (PhysicsDomainError, OverflowError, ZeroDivisionError) as exc:
                     bh = _token_for(exc)  # a token, not the exception: no traceback grows
             cell = evaluate_cell(params, bh)
             out = list(coord_texts) + [format_value(cell[o]) for o in spec.outputs]

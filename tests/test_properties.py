@@ -6,6 +6,7 @@ t = 1 above it; tanh^2 r rounds to 1 from r ~ 19 on.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, seed, settings
@@ -197,3 +198,32 @@ def test_blockwise_oracle_matches_series(tanh_r):
     oracle = fock_oracle.blockwise_negativity_bosonic(r, trunc, GATE).log_negativity
     series = channels.log_negativity_boson(r, GATE / 10.0).value
     assert abs(oracle - series) < GATE
+
+
+# fock_oracle._fused_dot against its exact-rational reference form, bit for
+# bit: every finite float is drawn, signed zeros, subnormals and sums that
+# overflow (OverflowError on both sides) included.
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _fraction_dot(x, y):
+    acc = 0.0
+    for a, b in zip(x, y):
+        acc = float(Fraction(a) * Fraction(b) + Fraction(acc))
+    return acc
+
+
+def _bits(dot, x, y):
+    try:
+        return dot(x, y).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+@seed(16)
+@PROPERTY
+@given(pairs=st.lists(st.tuples(finite_floats, finite_floats), max_size=6))
+def test_fused_dot_matches_fraction_form(pairs):
+    x = [a for a, _ in pairs]
+    y = [b for _, b in pairs]
+    assert _bits(fock_oracle._fused_dot, x, y) == _bits(_fraction_dot, x, y)

@@ -196,6 +196,16 @@ class TestRunSweep:
             "9.9999999999999999e-300,NA:domain,NA:domain,NA:domain,NA:domain",
         ]
 
+    def test_overflowing_hole_cells_are_na(self, tmp_path):
+        # d = 1000 needs an overflowing Gamma(999/2), as `geom --d 1000 --mass 1` does
+        out = tmp_path / "ov.csv"
+        argv = ["sweep", "--axis", "d:4:1000:2", "--fixed", "M=1", "--fixed", "omega=1",
+                "--output", ",".join(sweep.OUTPUT_VOCABULARY), "--out", str(out)]
+        assert cli.main(argv) == 0
+        body = out.read_text().splitlines()[1:]
+        assert len(body) == 2 and "NA" not in body[0]
+        assert body[1] == "1000" + ",NA:domain" * len(sweep.OUTPUT_VOCABULARY)
+
     def test_evaluate_cell_consistency(self):
         bh = sweep.resolve_geometry({"d": 4, "r_h": 1.0})
         cell = sweep.evaluate_cell({"d": 4, "r_h": 1.0, "omega": 0.5}, bh)
@@ -381,9 +391,10 @@ class TestExitCodes:
             ["estimate", "coupling-time", "--tbh", "1e-300"],
             ["geom", "--d", "1000", "--rh", "1"],
             ["entangle", "--kappa", "1e300", "--omega", "1e-300"],
+            ["geom", "--d", "5", "--rh", "1e-300"],
         ],
         ids=["mstar-zero", "d-1000", "d-1e7", "tev-overflow", "radiation-overflow",
-             "coupling-underflow", "d-1000-rh", "ratio-underflow"],
+             "coupling-underflow", "d-1000-rh", "ratio-underflow", "mass-underflow"],
     )
     def test_float_range_exits_3(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_PHYSICS
@@ -512,22 +523,28 @@ class TestExitCodes:
 
 
 def test_cli_import_loads_neither_scipy_nor_numpy(tmp_path):
-    # none of them loads, near the horizon and in oracle-check included
+    # none of them loads, near the horizon and in oracle-check included; and
+    # against what a bare interpreter has loaded, the import and the geom,
+    # entangle and sweep commands add no dataclass machinery, no fractions,
+    # and neither the estimators nor the oracle
     code = (
         "import sys\n"
+        "bare = set(sys.modules)\n"
         "import bhent.cli\n"
-        "from bhent import sweep\n"
         "def loaded():\n"
         "    return sorted(m for m in ('scipy', 'numpy', 'mpmath') if m in sys.modules)\n"
-        "print('import', loaded())\n"
-        "rc = bhent.cli.main(['entangle', '--kappa', '1', '--omega', '1e-4'])\n"
-        "spec = sweep.SweepSpec(axes=(sweep.Axis('omega', 1e-6, 1e-2, 9, 'log'),),\n"
-        "                       fixed={'d': 4, 'r_h': 1.0, 'statistics': 'boson'},\n"
-        "                       outputs=('E_N',))\n"
-        "sweep.run_sweep(spec, sys.argv[2])\n"
-        "print('near-horizon', rc, loaded())\n"
+        "def added(*names):\n"
+        "    return sorted(m for m in names if m in sys.modules and m not in bare)\n"
+        "STARTUP = ('dataclasses', 'inspect', 'fractions')\n"
+        "OTHERS = ('bhent.estimates', 'bhent.fock_oracle')\n"
+        "print('import', loaded(), added(*STARTUP, *OTHERS))\n"
+        "rcs = [bhent.cli.main(['geom', '--n', '2', '--mu', '1', '--a', '0.5']),\n"
+        "       bhent.cli.main(['entangle', '--kappa', '1', '--omega', '1e-4']),\n"
+        "       bhent.cli.main(['sweep', '--axis', 'omega:1e-6:1e-2:9:log', '--fixed', 'd=4',\n"
+        "                       '--fixed', 'r_h=1', '--out', sys.argv[2]])]\n"
+        "print('near-horizon', rcs, loaded(), added(*STARTUP, *OTHERS))\n"
         "rc = bhent.cli.main(['oracle-check', '--tanhr', '0.2,0.5', '--out', sys.argv[1]])\n"
-        "print('oracle-check', rc, loaded())\n"
+        "print('oracle-check', rc, loaded(), added(*STARTUP))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bhent.__file__)))
     proc = subprocess.run(
@@ -536,9 +553,9 @@ def test_cli_import_loads_neither_scipy_nor_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "import []"
-    assert "near-horizon 0 []" in lines
-    assert lines[-1] == "oracle-check 0 []"
+    assert lines[0] == "import [] []"
+    assert "near-horizon [0, 0, 0] [] []" in lines
+    assert lines[-1] == "oracle-check 0 [] []"
     # the first cell, omega = 1e-6, has tanh^2 r = 1 - 1.3e-5 and gets a value
     with open(tmp_path / "nh.csv", encoding="utf-8") as fh:
         first = fh.read().splitlines()[1]
