@@ -65,8 +65,15 @@ class TruncatedDensityMatrix:
         labels = set(basis)
         if len(labels) != len(basis):
             raise ContractViolationError("basis repeats a label")
-        entries = {key: v for key, v in entries.items() if v != 0.0}
+        if 0.0 in entries.values():  # also true for -0.0
+            entries = {key: v for key, v in entries.items() if v != 0.0}
+        else:
+            # Copying a dict reuses its stored hashes; the comprehension above
+            # rehashes every nested-tuple key, since tuples cache no hash.
+            entries = dict(entries)
         scale = max(max(map(abs, entries.values()), default=0.0), 1.0)
+        asym_tol = 1e-14 * scale
+        get = entries.get
         for (i, j), v in entries.items():
             if i not in labels or j not in labels:
                 raise ContractViolationError(f"entry {(i, j)} has a label outside the basis")
@@ -74,8 +81,8 @@ class TruncatedDensityMatrix:
                 if v < -1e-14:
                     raise ContractViolationError("negative diagonal entry in density matrix")
             else:
-                asym = abs(v - entries.get((j, i), 0.0))
-                if asym > 1e-14 * scale:
+                asym = abs(v - get((j, i), 0.0))
+                if asym > asym_tol:
                     raise ContractViolationError(f"density matrix asymmetry {asym} at {(i, j)}")
         self.basis = basis
         self.entries = entries
@@ -348,17 +355,30 @@ def bob_post_state_bosonic(
     x, y = qubit.conditional(*outcome)
     c0, c1 = _squeeze_amplitudes(r, n_trunc)
 
-    kmax = n_trunc + 1
-    basis = tuple((k1, k2) for k1 in range(kmax + 1) for k2 in range(kmax + 1))
+    width = n_trunc + 2  # occupations 0 .. n_trunc + 1 per mode
+    basis = tuple((k1, k2) for k1 in range(width) for k2 in range(width))
     entries: dict = {}
+    get = entries.get
     # Hidden-region occupations (n1, n2) are orthogonal, so each pair
     # contributes a rank-one projector onto
     #   x c1[n1] c0[n2] |n1+1, n2>  +  y c0[n1] c1[n2] |n1, n2+1>.
+    # Its four entries are written in _add_projector's order and to its bits:
+    # |n1+1, n2> has not occurred before, so its diagonal starts at 0.0, and
+    # no other pair couples the two labels.  |n1, n2+1> may already carry a
+    # diagonal from the pair (n1-1, n2+1).
     for n1 in range(n_trunc + 1):
-        for n2 in range(n_trunc + 1):
-            amp_x = x * c1[n1] * c0[n2]
-            amp_y = y * c0[n1] * c1[n2]
-            _add_projector(entries, 1.0, [((n1 + 1, n2), amp_x), ((n1, n2 + 1), amp_y)])
+        row_x = basis[(n1 + 1) * width : (n1 + 2) * width - 1]  # (n1+1, n2)
+        row_y = basis[n1 * width + 1 : (n1 + 1) * width]  # (n1, n2+1)
+        xc, yc = x * c1[n1], y * c0[n1]
+        for lx, ly, a0, a1 in zip(row_x, row_y, c0, c1):
+            amp_x = xc * a0
+            amp_y = yc * a1
+            coherence = amp_x * amp_y
+            entries[lx, lx] = amp_x * amp_x
+            entries[lx, ly] = coherence
+            entries[ly, lx] = coherence
+            key = (ly, ly)
+            entries[key] = get(key, 0.0) + amp_y * amp_y
     deficit = 1.0 - _diagonal_sum(entries)
     # Looser than the Bell-state gate: the dual-rail fidelity reads only the
     # n1 = n2 = 0 terms, which the truncation never removes.

@@ -74,6 +74,8 @@ def mass_from_horizon(d: int, r_h: float) -> float:
     mass = (d - 2) * r_h ** (d - 3) * sphere_volume(d - 2) / (16.0 * math.pi)
     if mass == 0.0:  # r_h^(d-3) underflowed; the hole would read M = 0
         raise PhysicsDomainError(f"mass underflows to 0 for d={d}, r_h={r_h}")
+    if not math.isfinite(mass):  # the product overflowed; the hole would read M = inf
+        raise PhysicsDomainError(f"mass overflows for d={d}, r_h={r_h}")
     return mass
 
 
@@ -332,7 +334,12 @@ def rotating_mass_angmom(n: int, mu: float, a: float) -> tuple[float, float]:
     if a < 0:
         raise PhysicsDomainError(f"spin parameter must be non-negative, got {a}")
     mass = (n + 2) * sphere_volume(n + 2) * mu / (16.0 * math.pi)
-    return mass, 2.0 * a * mass / (n + 2)
+    if not math.isfinite(mass):  # J would then read inf, or nan as 0 * inf at a = 0
+        raise PhysicsDomainError(f"mass overflows for n={n}, mu={mu}")
+    angmom = 2.0 * a * mass / (n + 2)
+    if not math.isfinite(angmom):
+        raise PhysicsDomainError(f"angular momentum overflows for n={n}, mu={mu}, a={a}")
+    return mass, angmom
 
 
 class RotatingBH:

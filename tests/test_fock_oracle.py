@@ -245,6 +245,74 @@ class TestSparseAssembly:
             fock_oracle.TruncatedDensityMatrix(((0, 0), (0, 0)), {((0, 0), (0, 0)): 1.0})
 
 
+def _reference_post_state(r, qubit, outcome, n_trunc):
+    """bob_post_state_bosonic's entries and deficit, one projector per (n1, n2).
+
+    The pair-by-pair loop the one-pass assembly replaced: a two-item vector
+    per pair, added as weight * (a_i * a_j) onto entries.get(key, 0.0).
+    Returns the stored (key, value) items, zeros dropped, and the deficit.
+    """
+    x, y = qubit.conditional(*outcome)
+    c0, c1 = fock_oracle._squeeze_amplitudes(r, n_trunc)
+    entries = {}
+    for n1 in range(n_trunc + 1):
+        for n2 in range(n_trunc + 1):
+            vec = [((n1 + 1, n2), x * c1[n1] * c0[n2]), ((n1, n2 + 1), y * c0[n1] * c1[n2])]
+            for li, ai in vec:
+                for lj, aj in vec:
+                    entries[li, lj] = entries.get((li, lj), 0.0) + 1.0 * (ai * aj)
+    deficit = 1.0 - math.fsum(v for (i, j), v in entries.items() if i == j)
+    return [(k, v) for k, v in entries.items() if v != 0.0], deficit
+
+
+def _hex_items(items):
+    return [(k, v.hex()) for k, v in items]
+
+
+class TestPostStateAssembly:
+    """The one-pass post-state against the pair-by-pair reference, to the bit."""
+
+    # r = 0 makes c0[n] = 0 for n >= 1, so the assembly writes zeros and,
+    # with the negative amplitude, negative zeros, which must be dropped.
+    QUBITS = ((0.6, 0.8), (0.28, -0.96))
+    OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+    @pytest.mark.parametrize("n_trunc", [2, 7, 40])
+    @pytest.mark.parametrize("r", [0.0, 0.05, 0.55, 1.3])
+    def test_matches_reference_bits_and_order(self, r, n_trunc):
+        for alpha, beta in self.QUBITS:
+            qubit = fock_oracle.DualRailQubit(alpha, beta)
+            for outcome in self.OUTCOMES:
+                items, deficit = _reference_post_state(r, qubit, outcome, n_trunc)
+                if deficit > 0.01:
+                    with pytest.raises(TruncationError, match="trace deficit"):
+                        fock_oracle.bob_post_state_bosonic(r, qubit, outcome, n_trunc)
+                    continue
+                post = fock_oracle.bob_post_state_bosonic(r, qubit, outcome, n_trunc)
+                assert _hex_items(post.entries.items()) == _hex_items(items)
+                assert post.trace_deficit.hex() == deficit.hex()
+
+    def test_density_matrix_copies_its_entries(self):
+        basis = ((0, 0), (0, 1))
+        given = {((0, 0), (0, 0)): 0.75, ((0, 0), (0, 1)): 0.25,
+                 ((0, 1), (0, 0)): 0.25, ((0, 1), (0, 1)): 0.25}
+        rho = fock_oracle.TruncatedDensityMatrix(basis, given)
+        assert list(rho.entries.items()) == list(given.items())
+        assert rho.entries is not given
+        given[(0, 0), (0, 0)] = 0.5
+        del given[(0, 1), (0, 1)]
+        assert rho.entries[(0, 0), (0, 0)] == 0.75
+        assert ((0, 1), (0, 1)) in rho.entries
+
+    def test_density_matrix_drops_signed_zeros(self):
+        basis = ((0, 0), (0, 1))
+        given = {((0, 0), (0, 0)): 1.0, ((0, 0), (0, 1)): -0.0,
+                 ((0, 1), (0, 0)): 0.0, ((0, 1), (0, 1)): 0.0}
+        rho = fock_oracle.TruncatedDensityMatrix(basis, given)
+        assert list(rho.entries.items()) == [(((0, 0), (0, 0)), 1.0)]
+        assert len(given) == 4
+
+
 class TestTruncationCertificate:
     """The oracle refuses a truncation whose trace deficit exceeds the gate."""
 

@@ -2,8 +2,11 @@
 
 tests/golden/oracle_check_trunc{40,80}.csv hold `bhent oracle-check --trunc N`
 with the default --tanhr, as written by the dense-matrix oracle that the
-sparse one replaced.  Gated rows must match byte for byte.  Informational
-rows may move by a few ulp, since blocks may be summed in another order.
+sparse one replaced.  oracle_check_trunc200.csv holds the top of the
+truncation range, `--tanhr 0.1,0.5,0.9 --trunc 200 --tol 1e-3`, as written by
+the sparse oracle before its post-state assembly was rewritten.  Gated rows
+must match byte for byte.  Informational rows may move by a few ulp, since
+blocks may be summed in another order.
 """
 
 import math
@@ -25,12 +28,21 @@ def _close(new: str, old: str) -> bool:
     return abs(a - b) <= MAX_ULPS * math.ulp(b)
 
 
-@pytest.mark.parametrize("trunc", [40, 80])
-def test_report_matches_golden(trunc, tmp_path):
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("oracle_check_trunc40.csv", ["--trunc", "40"]),
+        ("oracle_check_trunc80.csv", ["--trunc", "80"]),
+        ("oracle_check_trunc200.csv",
+         ["--tanhr", "0.1,0.5,0.9", "--trunc", "200", "--tol", "1e-3"]),
+    ],
+    ids=["40", "80", "200"],
+)
+def test_report_matches_golden(name, args, tmp_path):
     out = tmp_path / "oc.csv"
-    assert cli.main(["oracle-check", "--trunc", str(trunc), "--out", str(out)]) == 0
+    assert cli.main(["oracle-check", *args, "--out", str(out)]) == 0
     fresh = out.read_text(encoding="utf-8").splitlines()
-    golden = (GOLDEN / f"oracle_check_trunc{trunc}.csv").read_text(encoding="utf-8").splitlines()
+    golden = (GOLDEN / name).read_text(encoding="utf-8").splitlines()
     assert len(fresh) == len(golden)
     assert fresh[0] == golden[0]
     for new, old in zip(fresh[1:], golden[1:]):

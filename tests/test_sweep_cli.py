@@ -392,9 +392,13 @@ class TestExitCodes:
             ["geom", "--d", "1000", "--rh", "1"],
             ["entangle", "--kappa", "1e300", "--omega", "1e-300"],
             ["geom", "--d", "5", "--rh", "1e-300"],
+            ["geom", "--d", "5", "--rh", "1.3e154"],
+            ["geom", "--n", "2", "--mu", "1e308"],
+            ["geom", "--n", "2", "--mu", "1e300", "--a", "1e10"],
         ],
         ids=["mstar-zero", "d-1000", "d-1e7", "tev-overflow", "radiation-overflow",
-             "coupling-underflow", "d-1000-rh", "ratio-underflow", "mass-underflow"],
+             "coupling-underflow", "d-1000-rh", "ratio-underflow", "mass-underflow",
+             "mass-overflow-static", "mass-overflow-rotating", "angmom-overflow-rotating"],
     )
     def test_float_range_exits_3(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_PHYSICS
