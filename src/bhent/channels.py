@@ -174,22 +174,25 @@ def log_negativity_fermion(r: float) -> float:
     return math.log2(1.0 + math.cos(r) ** 2)
 
 
-def fidelity_boson(omega_eff: float, kappa: float) -> float:
-    """Teleportation fidelity F = (1 - exp(-pi omega_eff/kappa))^3, as printed.
+def fidelity_boson(sq: modes.SqueezingParams) -> float:
+    """Teleportation fidelity F = (1 - exp(-x))^3, x = pi omega_eff/kappa, as printed.
 
-    See the module docstring: the constructive value is (1 - exp(-2 pi
-    omega_eff/kappa))^3; this function keeps the stated exponent.
+    See the module docstring: the constructive value is (1 - exp(-2x))^3;
+    this function keeps the stated exponent.
     """
-    x = modes._check_ratio(omega_eff, kappa)
-    if x > 700.0:
+    if sq.x > 700.0:
         return 1.0
-    return (-math.expm1(-x)) ** 3
+    return (-math.expm1(-sq.x)) ** 3
 
 
 def fidelity_fermion(r: float | modes.SqueezingParams) -> float:
     """Teleportation fidelity F = cos^2 r for the fermionic channel."""
     if isinstance(r, modes.SqueezingParams):
-        return r.cos_r * r.cos_r
+        if r.x > modes._X_OVERFLOW:
+            return 1.0
+        e = math.exp(-r.x)
+        cos_r = 1.0 / math.sqrt(1.0 + e * e)
+        return cos_r * cos_r
     _check_fermion_r(r)
     return math.cos(r) ** 2
 
@@ -208,11 +211,11 @@ def mode_point(
     sq = modes.squeeze(omega_eff, kappa, statistics)
     if statistics == modes.BOSON:
         e_n = log_negativity_boson(sq.r, tol)
-        fid = fidelity_boson(omega_eff, kappa)
+        fid = fidelity_boson(sq)
     else:
         e_n = NegativityResult(log_negativity_fermion(sq.r), 0, 0.0)
         fid = fidelity_fermion(sq)
-    return sq.r, modes.occupation(omega_eff, kappa, statistics), fid, e_n
+    return sq.r, sq.occupation, fid, e_n
 
 
 def check_series_tol(tol: float) -> None:

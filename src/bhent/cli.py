@@ -253,7 +253,7 @@ def cmd_estimate(args) -> int:
 
     if args.what == "coupling-time":
         cavity = estimates.CavitySpec(args.dl, args.vc)
-        mass = args.msun * estimates.SI.m_sun if args.msun is not None else None
+        mass = args.msun * estimates.M_SUN if args.msun is not None else None
         res = estimates.coupling_time(mass, cavity, args.tbh)
         print(f"t_s = {_fmt(res.time_s)}")
         print(f"kappa_si = {_fmt(res.kappa_si)}")
@@ -264,7 +264,7 @@ def cmd_estimate(args) -> int:
     elif args.what == "hawking-temp":
         if args.msun is None:
             raise PhysicsDomainError("hawking-temp needs --msun")
-        print(f"T_bh_K = {_fmt(estimates.hawking_temperature_si(args.msun * estimates.SI.m_sun))}")
+        print(f"T_bh_K = {_fmt(estimates.hawking_temperature_si(args.msun * estimates.M_SUN))}")
     elif args.what == "radiation-density":
         if args.temp is None:
             raise PhysicsDomainError("radiation-density needs --temp")

@@ -18,36 +18,15 @@ import math
 from bhent.errors import PhysicsDomainError
 
 
-class SIConstants:
-    """CODATA-2018 values, SI units."""
-
-    __slots__ = ("c", "h", "k_b", "g_newton", "m_sun")
-
-    def __init__(
-        self,
-        c: float = 299_792_458.0,
-        h: float = 6.626_070_15e-34,
-        k_b: float = 1.380_649e-23,
-        g_newton: float = 6.674_30e-11,
-        m_sun: float = 1.988_92e30,
-    ) -> None:
-        self.c = c
-        self.h = h
-        self.k_b = k_b
-        self.g_newton = g_newton
-        self.m_sun = m_sun
-
-    @property
-    def hbar(self) -> float:
-        return self.h / (2.0 * math.pi)
-
-    @property
-    def stefan_alpha(self) -> float:
-        """Radiation constant alpha = pi^2 k_B^4 / (15 hbar^3 c^3), J m^-3 K^-4."""
-        return math.pi**2 * self.k_b**4 / (15.0 * self.hbar**3 * self.c**3)
-
-
-SI = SIConstants()
+# CODATA-2018 values, SI units.
+C = 299_792_458.0
+H = 6.626_070_15e-34
+HBAR = H / (2.0 * math.pi)
+K_B = 1.380_649e-23
+G_NEWTON = 6.674_30e-11
+M_SUN = 1.988_92e30
+# Radiation constant alpha = pi^2 k_B^4 / (15 hbar^3 c^3), J m^-3 K^-4.
+STEFAN_ALPHA = math.pi**2 * K_B**4 / (15.0 * HBAR**3 * C**3)
 
 
 class CavitySpec:
@@ -66,21 +45,21 @@ def radiation_density(temperature: float) -> float:
     """Thermal radiation energy density rho = alpha T^4 in J/m^3."""
     if temperature < 0:
         raise PhysicsDomainError(f"temperature must be non-negative, got {temperature}")
-    return SI.stefan_alpha * temperature**4
+    return STEFAN_ALPHA * temperature**4
 
 
 def hawking_temperature_si(mass_kg: float) -> float:
     """Hawking temperature T = hbar c^3 / (8 pi G M k_B) in kelvin."""
     if mass_kg <= 0:
         raise PhysicsDomainError(f"mass must be positive, got {mass_kg}")
-    return SI.hbar * SI.c**3 / (8.0 * math.pi * SI.g_newton * mass_kg * SI.k_b)
+    return HBAR * C**3 / (8.0 * math.pi * G_NEWTON * mass_kg * K_B)
 
 
 def acceleration_surface_gravity(t_bh: float) -> float:
     """kappa = 2 pi c k_B T_bh / hbar, in m/s^2."""
     if t_bh <= 0:
         raise PhysicsDomainError(f"temperature must be positive, got {t_bh}")
-    return 2.0 * math.pi * SI.c * SI.k_b * t_bh / SI.hbar
+    return 2.0 * math.pi * C * K_B * t_bh / HBAR
 
 
 class CouplingTimeResult:
@@ -114,9 +93,9 @@ def coupling_time(
             raise PhysicsDomainError("need a black hole mass or temperature")
         t_bh = hawking_temperature_si(mass_kg)
     kappa = acceleration_surface_gravity(t_bh)
-    redshift = kappa * cavity.wall_thickness / SI.c**2
+    redshift = kappa * cavity.wall_thickness / C**2
     delta_e = radiation_density(t_bh) * cavity.volume
-    t = SI.h / (redshift * delta_e)
+    t = H / (redshift * delta_e)
     return CouplingTimeResult(t, kappa, redshift, delta_e, t_bh)
 
 

@@ -139,16 +139,6 @@ def tortoise(d: int, r_h: float, r: float) -> float:
     return rs.real
 
 
-def local_temperature(t_bh: float, d: int, r_h: float, r: float) -> float:
-    """Blue-shifted local temperature T = T_bh / sqrt(f(r)) for a static observer."""
-    if t_bh < 0:
-        raise PhysicsDomainError(f"temperature must be non-negative, got {t_bh}")
-    f = lapse(d, r_h, r)
-    if f <= 0:
-        raise PhysicsDomainError(f"local temperature defined only outside the horizon, r={r}")
-    return t_bh / math.sqrt(f)
-
-
 class SchwarzschildBH:
     """Static d-dimensional black hole, parameterised by (d, r_h).
 
@@ -173,21 +163,6 @@ class SchwarzschildBH:
     @property
     def mass(self) -> float:
         return mass_from_horizon(self.d, self.r_h)
-
-    @property
-    def inverse_kappa(self) -> float:
-        """The acceleration-scale parameter 1/kappa = 2 r_h / (d-3)."""
-        return 2.0 * self.r_h / (self.d - 3)
-
-    @property
-    def temperature(self) -> float:
-        return hawking_temperature(self.kappa)
-
-    def lapse(self, r: float) -> float:
-        return lapse(self.d, self.r_h, r)
-
-    def tortoise(self, r: float) -> float:
-        return tortoise(self.d, self.r_h, r)
 
 
 def _delta(n: int, mu: float, a: float, r: float) -> float:
@@ -283,7 +258,8 @@ def rotating_horizon(n: int, mu: float, a: float) -> float:
     if n == 0:
         # Upward parabola; the largest root sits right of the vertex mu/2.
         lo = mu / 2.0
-        if _delta(n, mu, a, lo) > 0.0:
+        # Delta(mu/2) = a^2 - mu^2/4 would under- or overflow; 2a > mu cannot
+        if 2.0 * a > mu:
             raise NakedSingularityError(f"no horizon for n=0, mu={mu}, a={a} (4a^2 > mu^2)")
     elif n == 1:
         if a * a >= mu:
@@ -304,7 +280,10 @@ def rotating_horizon(n: int, mu: float, a: float) -> float:
     r_h = brentq(lambda r: _delta(n, mu, a, r), lo, hi, xtol=1e-300, rtol=8.9e-16)
 
     residual = abs(_delta(n, mu, a, r_h))
-    tol = 1e-12 * max(r_h * r_h, a * a, mu * r_h ** (1 - n))
+    scale = max(r_h * r_h, a * a, mu * r_h ** (1 - n))
+    if scale == 0.0:  # every term of Delta underflows; any bracket end reads as a root
+        raise PhysicsDomainError(f"horizon underflows for n={n}, mu={mu}, a={a}")
+    tol = 1e-12 * scale
     if residual > tol:
         raise ContractViolationError(f"horizon residual {residual} exceeds {tol}")
     return r_h
@@ -373,65 +352,32 @@ class RotatingBH:
     def angular_momentum(self) -> float:
         return rotating_mass_angmom(self.n, self.mu, self.a)[1]
 
-    @property
-    def temperature(self) -> float:
-        return hawking_temperature(self.kappa)
-
-
-class TevScales:
-    """TeV-gravity length scales for n extra dimensions.
-
-    All masses in TeV; all output lengths in metres.  The size of the extra
-    dimensions follows from M_pl^2 = R^n M_*^(n+2); the (4+n)-dimensional
-    horizon radius from the static mass formula with G_{4+n} = M_*^-(n+2).
-    """
-
-    __slots__ = ("n", "m_star", "m_bh")
-
-    def __init__(self, n: int, m_star: float, m_bh: float) -> None:
-        if n < 1:
-            raise PhysicsDomainError(f"TeV scales need n >= 1, got {n}")
-        if m_star <= 0 or m_bh <= 0:
-            raise PhysicsDomainError("masses must be positive")
-        self.n = n
-        self.m_star = m_star
-        self.m_bh = m_bh
-
-    @property
-    def extra_dimension_size_m(self) -> float:
-        r_nat = (M_PLANCK_TEV / self.m_star) ** (2.0 / self.n) / self.m_star
-        return r_nat * TEV_INV_TO_M
-
-    @property
-    def horizon_4n_m(self) -> float:
-        d = 4 + self.n
-        g_d = self.m_star ** (-(self.n + 2))
-        r_nat = (16.0 * math.pi * g_d * self.m_bh / ((d - 2) * sphere_volume(d - 2))) ** (
-            1.0 / (d - 3)
-        )
-        return r_nat * TEV_INV_TO_M
-
-    @property
-    def horizon_4_m(self) -> float:
-        return 2.0 * self.m_bh / M_PLANCK_TEV**2 * TEV_INV_TO_M
-
-    @property
-    def ratio_4_over_4n(self) -> float:
-        """r_h(4)/r_h(4+n) estimated as (r_h(4+n)/R)^n."""
-        return (self.horizon_4n_m / self.extra_dimension_size_m) ** self.n
-
-    @property
-    def ratio_direct(self) -> float:
-        return self.horizon_4_m / self.horizon_4n_m
-
 
 def tev_scales(n: int, m_star_tev: float, m_bh_tev: float) -> dict[str, float]:
-    """Convenience dict view of TevScales (lengths in metres)."""
-    s = TevScales(n, m_star_tev, m_bh_tev)
+    """TeV-gravity length scales for n extra dimensions, in metres.
+
+    Masses are in TeV.  The size R of the extra dimensions follows from
+    M_pl^2 = R^n M_*^(n+2); the (4+n)-dimensional horizon radius from the
+    static mass formula with G_{4+n} = M_*^-(n+2).  ratio_4_over_4n estimates
+    r_h(4)/r_h(4+n) as (r_h(4+n)/R)^n; ratio_direct divides the two radii.
+    """
+    if n < 1:
+        raise PhysicsDomainError(f"TeV scales need n >= 1, got {n}")
+    if m_star_tev <= 0 or m_bh_tev <= 0:
+        raise PhysicsDomainError("masses must be positive")
+    size_nat = (M_PLANCK_TEV / m_star_tev) ** (2.0 / n) / m_star_tev
+    size = size_nat * TEV_INV_TO_M
+    d = 4 + n
+    g_d = m_star_tev ** (-(n + 2))
+    r_nat = (16.0 * math.pi * g_d * m_bh_tev / ((d - 2) * sphere_volume(d - 2))) ** (
+        1.0 / (d - 3)
+    )
+    horizon_4n = r_nat * TEV_INV_TO_M
+    horizon_4 = 2.0 * m_bh_tev / M_PLANCK_TEV**2 * TEV_INV_TO_M
     return {
-        "R": s.extra_dimension_size_m,
-        "r_h_4n": s.horizon_4n_m,
-        "r_h_4": s.horizon_4_m,
-        "ratio_4_over_4n": s.ratio_4_over_4n,
-        "ratio_direct": s.ratio_direct,
+        "R": size,
+        "r_h_4n": horizon_4n,
+        "r_h_4": horizon_4,
+        "ratio_4_over_4n": (horizon_4n / size) ** n,
+        "ratio_direct": horizon_4 / horizon_4n,
     }

@@ -54,37 +54,18 @@ def effective_frequency(mode: ModeSpec, omega_h: float) -> float:
 
 
 class SqueezingParams:
-    """Bogoliubov squeezing parameter r with its cached trig/hyperbolic values.
+    """One mode's x = pi omega_eff / kappa, Bogoliubov parameter r and occupation N^2.
 
-    For bosons (tanh_r, cosh_r) are populated; for fermions (cos_r, sin_r).
+    N^2 is sinh^2 r for bosons and sin^2 r for fermions; past _X_OVERFLOW
+    r and N^2 are their limits, 0.
     """
 
-    __slots__ = ("statistics", "r", "tanh_r", "cosh_r", "cos_r", "sin_r")
+    __slots__ = ("x", "r", "occupation")
 
-    def __init__(
-        self,
-        statistics: str,
-        r: float,
-        tanh_r: float = 0.0,
-        cosh_r: float = 1.0,
-        cos_r: float = 1.0,
-        sin_r: float = 0.0,
-    ) -> None:
-        self.statistics = statistics
+    def __init__(self, x: float, r: float, occupation: float) -> None:
+        self.x = x
         self.r = r
-        self.tanh_r = tanh_r
-        self.cosh_r = cosh_r
-        self.cos_r = cos_r
-        self.sin_r = sin_r
-
-    @property
-    def occupation(self) -> float:
-        """Thermal occupation number: sinh^2 r (boson) or sin^2 r (fermion)."""
-        if self.statistics == BOSON:
-            # sinh^2 = (tanh * cosh)^2 avoids the cancellation in cosh^2 - 1
-            s = self.tanh_r * self.cosh_r
-            return s * s
-        return self.sin_r * self.sin_r
+        self.occupation = occupation
 
 
 def _check_ratio(omega_eff: float, kappa: float) -> float:
@@ -108,26 +89,24 @@ def _check_ratio(omega_eff: float, kappa: float) -> float:
 
 
 def squeeze_boson(omega_eff: float, kappa: float) -> SqueezingParams:
-    """Bosonic squeezing, tanh r = exp(-pi omega_eff / kappa)."""
+    """Bosonic squeezing, tanh r = exp(-x); N^2 = 1/(exp(2x) - 1)."""
     x = _check_ratio(omega_eff, kappa)
     if x > _X_OVERFLOW:
-        return SqueezingParams(BOSON, r=0.0, tanh_r=0.0, cosh_r=1.0)
+        return SqueezingParams(x, 0.0, 0.0)
     tanh_r = math.exp(-x)
     # atanh(e^-x) = [log1p(e^-x) - log1p(-e^-x)]/2; log1p(-e^-x) = log(-expm1(-x))
     r = 0.5 * (math.log1p(tanh_r) - math.log(-math.expm1(-x)))
-    cosh_r = 1.0 / math.sqrt(-math.expm1(-2.0 * x))
-    return SqueezingParams(BOSON, r=r, tanh_r=tanh_r, cosh_r=cosh_r)
+    return SqueezingParams(x, r, 1.0 / math.expm1(2.0 * x))
 
 
 def squeeze_fermion(omega_eff: float, kappa: float) -> SqueezingParams:
-    """Fermionic squeezing, cos r = (1 + exp(-2 pi omega_eff / kappa))^(-1/2)."""
+    """Fermionic squeezing, cos r = (1 + exp(-2x))^(-1/2); N^2 = 1/(exp(2x) + 1)."""
     x = _check_ratio(omega_eff, kappa)
     if x > _X_OVERFLOW:
-        return SqueezingParams(FERMION, r=0.0, cos_r=1.0, sin_r=0.0)
+        return SqueezingParams(x, 0.0, 0.0)
     e = math.exp(-x)
-    cos_r = 1.0 / math.sqrt(1.0 + e * e)
-    sin_r = e * cos_r
-    return SqueezingParams(FERMION, r=math.atan(e), cos_r=cos_r, sin_r=sin_r)
+    e2 = math.exp(-2.0 * x)
+    return SqueezingParams(x, math.atan(e), e2 / (1.0 + e2))
 
 
 def squeeze(omega_eff: float, kappa: float, statistics: str) -> SqueezingParams:
@@ -135,23 +114,4 @@ def squeeze(omega_eff: float, kappa: float, statistics: str) -> SqueezingParams:
         return squeeze_boson(omega_eff, kappa)
     if statistics == FERMION:
         return squeeze_fermion(omega_eff, kappa)
-    raise PhysicsDomainError(f"unknown statistics {statistics!r}")
-
-
-def occupation(omega_eff: float, kappa: float, statistics: str) -> float:
-    """Hawking occupation N^2 = 1/(exp(2 pi omega_eff/kappa) -+ 1).
-
-    Minus sign for bosons (Bose-Einstein), plus for fermions (Fermi-Dirac).
-    Cross-checks: equals sinh^2 r for bosons and sin^2 r for fermions.
-    """
-    x = _check_ratio(omega_eff, kappa)
-    if statistics == BOSON:
-        if 2.0 * x > _X_OVERFLOW * 2:
-            return 0.0
-        return 1.0 / math.expm1(2.0 * x)
-    if statistics == FERMION:
-        if 2.0 * x > _X_OVERFLOW * 2:
-            return 0.0
-        e = math.exp(-2.0 * x)
-        return e / (1.0 + e)
     raise PhysicsDomainError(f"unknown statistics {statistics!r}")

@@ -32,7 +32,7 @@ def test_ac01_bell_baseline():
     sq_f = modes.squeeze_fermion(1.0, 1e-9)
     ok = (
         abs(channels.log_negativity_boson(sq_b.r).value - 1.0) <= eps
-        and abs(channels.fidelity_boson(1.0, 1e-9) - 1.0) <= eps
+        and abs(channels.fidelity_boson(modes.squeeze_boson(1.0, 1e-9)) - 1.0) <= eps
         and abs(channels.log_negativity_fermion(sq_f.r) - 1.0) <= eps
         and abs(channels.fidelity_fermion(sq_f) - 1.0) <= eps
     )
@@ -133,7 +133,7 @@ def test_ac06_monotonicity_suite():
             sq = modes.squeeze(1.0, kappa, statistics)
             if statistics == modes.BOSON:
                 e_n = channels.log_negativity_boson(sq.r, 1e-12).value
-                f = channels.fidelity_boson(1.0, kappa)
+                f = channels.fidelity_boson(modes.squeeze_boson(1.0, kappa))
             else:
                 e_n = channels.log_negativity_fermion(sq.r)
                 f = channels.fidelity_fermion(sq)
@@ -178,7 +178,7 @@ def test_ac07_estimates():
     t_couple = estimates.coupling_time(
         None, estimates.CavitySpec(1.0, 1.0), t_bh=1e-8
     ).time_s
-    t_sun = estimates.hawking_temperature_si(estimates.SI.m_sun)
+    t_sun = estimates.hawking_temperature_si(estimates.M_SUN)
     scales = geometry.tev_scales(2, 1.0, 5.0)
     ok = (
         1e18 <= t_couple <= 1e20

@@ -117,8 +117,8 @@ class TestNonFiniteInputs:
             lambda: channels.log_negativity_boson(math.inf),
             lambda: channels.neg_eigenvalue_boson(math.nan, 0),
             lambda: channels.neg_eigenvalue_boson(0.5, math.inf),
-            lambda: channels.fidelity_boson(math.nan, 1.0),
-            lambda: channels.fidelity_boson(1.0, math.inf),
+            lambda: channels.fidelity_boson(modes.squeeze_boson(math.nan, 1.0)),
+            lambda: channels.fidelity_boson(modes.squeeze_boson(1.0, math.inf)),
         ],
         ids=["E_N-r-nan", "E_N-r-inf", "lambda-r-nan", "lambda-n-inf", "F-omega-nan",
              "F-kappa-inf"],
@@ -181,26 +181,30 @@ class TestFermionicChannel:
 class TestBosonicFidelity:
     def test_stated_exponent(self):
         # F = (1 - e^{-pi omega/kappa})^3 exactly as implemented
-        assert channels.fidelity_boson(1.0, math.pi) == pytest.approx(
+        assert channels.fidelity_boson(modes.squeeze_boson(1.0, math.pi)) == pytest.approx(
             (1.0 - math.exp(-1.0)) ** 3, rel=1e-14
         )
 
     def test_limits(self):
-        assert channels.fidelity_boson(1.0, 1e-6) == 1.0
-        assert channels.fidelity_boson(1e-9, 1.0) == pytest.approx(0.0, abs=1e-24)
+        assert channels.fidelity_boson(modes.squeeze_boson(1.0, 1e-6)) == 1.0
+        assert channels.fidelity_boson(modes.squeeze_boson(1e-9, 1.0)) == pytest.approx(
+            0.0, abs=1e-24
+        )
 
     def test_monotone_in_kappa(self):
-        values = [channels.fidelity_boson(1.0, 10.0**e) for e in range(0, 4)]
+        values = [
+            channels.fidelity_boson(modes.squeeze_boson(1.0, 10.0**e)) for e in range(0, 4)
+        ]
         for lo, hi in zip(values, values[1:]):
             assert hi < lo
         # deep in the kappa -> 0 regime the fidelity clamps to exactly 1
-        assert channels.fidelity_boson(1.0, 1e-3) == 1.0
+        assert channels.fidelity_boson(modes.squeeze_boson(1.0, 1e-3)) == 1.0
 
     def test_domain(self):
         with pytest.raises(PhysicsDomainError):
-            channels.fidelity_boson(0.0, 1.0)
+            channels.fidelity_boson(modes.squeeze_boson(0.0, 1.0))
         with pytest.raises(PhysicsDomainError):
-            channels.fidelity_boson(1.0, -1.0)
+            channels.fidelity_boson(modes.squeeze_boson(1.0, -1.0))
 
 
 class TestMiniBHBounds:
@@ -238,13 +242,26 @@ class TestModePoint:
         r, n_occ, fid, e_n = channels.mode_point(1.5, 2, statistics, 0.8, 0.25, 1e-12)
         sq = modes.squeeze(1.0, 0.8, statistics)
         assert r == sq.r
-        assert n_occ == modes.occupation(1.0, 0.8, statistics)
+        assert n_occ == sq.occupation
         if statistics == modes.BOSON:
             assert e_n == channels.log_negativity_boson(sq.r, 1e-12)
-            assert fid == channels.fidelity_boson(1.0, 0.8)
+            assert fid == channels.fidelity_boson(sq)
         else:
             assert e_n == channels.NegativityResult(channels.log_negativity_fermion(sq.r), 0, 0.0)
             assert fid == channels.fidelity_fermion(sq)
+
+    @pytest.mark.parametrize("statistics", [modes.BOSON, modes.FERMION])
+    def test_checks_the_ratio_once(self, statistics, monkeypatch):
+        calls = []
+        check = modes._check_ratio
+
+        def counted(omega_eff, kappa):
+            calls.append((omega_eff, kappa))
+            return check(omega_eff, kappa)
+
+        monkeypatch.setattr(modes, "_check_ratio", counted)
+        channels.mode_point(1.5, 2, statistics, 0.8, 0.25, 1e-12)
+        assert calls == [(1.0, 0.8)]
 
     def test_domain_errors(self):
         with pytest.raises(SuperradiantModeError):

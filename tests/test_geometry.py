@@ -82,18 +82,10 @@ class TestStaticHole:
             0.25 / (2.0 * math.pi), rel=1e-15
         )
 
-    def test_local_temperature_blueshift(self):
-        t = geometry.local_temperature(1.0, 4, 1.0, 2.0)
-        assert t == pytest.approx(1.0 / math.sqrt(0.5), rel=1e-12)
-        with pytest.raises(PhysicsDomainError):
-            geometry.local_temperature(1.0, 4, 1.0, 0.5)
-
     def test_dataclass_properties(self):
         bh = geometry.SchwarzschildBH.from_mass(5, 3.0)
         assert bh.mass == pytest.approx(3.0, rel=1e-12)
         assert bh.kappa == pytest.approx(1.0 / bh.r_h, rel=1e-15)
-        assert bh.inverse_kappa == pytest.approx(1.0 / bh.kappa, rel=1e-15)
-        assert bh.temperature == pytest.approx(bh.kappa / (2.0 * math.pi), rel=1e-15)
 
     def test_answers_as_a_rotating_hole(self):
         bh = geometry.SchwarzschildBH(6, 0.5)

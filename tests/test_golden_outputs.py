@@ -69,6 +69,12 @@ CORPUS = (
         "teleport --d 4 --mass 1 --omega 800 --statistics fermion",
         "entangle --n 2 --mu 1 --omega 0.5 --statistics fermion --tol 1e-12",
         "geom --n 5 --mu 0.7 --a 0.1 --units natural",
+        "tev --n 2 --mstar 1 --mbh 5",
+        "tev --n 7 --mstar 3.3 --mbh 80",
+        "estimate coupling-time --tbh 1e-8",
+        "estimate coupling-time --msun 1 --dl 2 --vc 3",
+        "estimate hawking-temp --msun 1",
+        "estimate radiation-density --temp 300",
     ]
 )
 

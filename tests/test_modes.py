@@ -36,29 +36,28 @@ class TestSqueezeBoson:
         kappa = 1.0
         omega = math.log(2.0) / math.pi
         sq = modes.squeeze_boson(omega, kappa)
-        assert sq.tanh_r == pytest.approx(0.5, rel=1e-14)
+        assert math.tanh(sq.r) == pytest.approx(0.5, rel=1e-14)
         assert sq.r == pytest.approx(math.atanh(0.5), rel=1e-14)
-        assert sq.cosh_r == pytest.approx(math.cosh(sq.r), rel=1e-13)
+        # N^2 = sinh^2 r = tanh^2 r / (1 - tanh^2 r) = 1/3
+        assert sq.occupation == pytest.approx(1.0 / 3.0, rel=1e-13)
 
     def test_consistency(self):
         for x in [1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0]:
             sq = modes.squeeze_boson(x / math.pi, 1.0)
-            assert math.tanh(sq.r) == pytest.approx(sq.tanh_r, rel=1e-12)
-            assert sq.tanh_r == pytest.approx(math.exp(-x), rel=1e-14)
+            assert math.tanh(sq.r) == pytest.approx(math.exp(-x), rel=1e-12)
+            assert sq.x == pytest.approx(x, rel=1e-14)
 
     def test_overflow_regime(self):
         sq = modes.squeeze_boson(1e6, 1.0)
         assert sq.r == 0.0
-        assert sq.tanh_r == 0.0
-        assert sq.cosh_r == 1.0
+        assert sq.occupation == 0.0
 
     def test_occupation_identity(self):
         # N^2 = sinh^2 r across the sensible x range, to 1e-12
         for i in range(60):
             x = 10.0 ** (-3 + 4.0 * i / 59)
             sq = modes.squeeze_boson(x / math.pi, 1.0)
-            n2 = modes.occupation(x / math.pi, 1.0, modes.BOSON)
-            assert n2 == pytest.approx(sq.occupation, rel=1e-12, abs=1e-300)
+            assert sq.occupation == pytest.approx(math.sinh(sq.r) ** 2, rel=1e-12, abs=1e-300)
 
 
 class TestSqueezeFermion:
@@ -66,31 +65,33 @@ class TestSqueezeFermion:
         # 2x = ln 4 gives cos^2 r = 1/(1 + 1/4) = 0.8
         x = math.log(4.0) / 2.0
         sq = modes.squeeze_fermion(x / math.pi, 1.0)
-        assert sq.cos_r**2 == pytest.approx(0.8, rel=1e-14)
+        assert math.cos(sq.r) ** 2 == pytest.approx(0.8, rel=1e-14)
         assert sq.r == pytest.approx(math.atan(math.exp(-x)), rel=1e-14)
+        assert sq.occupation == pytest.approx(0.2, rel=1e-14)
 
     def test_range(self):
         for x in [1e-8, 0.5, 5.0, 50.0]:
             sq = modes.squeeze_fermion(x / math.pi, 1.0)
             assert 0.0 <= sq.r <= math.pi / 4
-            assert sq.cos_r**2 + sq.sin_r**2 == pytest.approx(1.0, rel=1e-14)
+            # N^2 = sin^2 r, so cos^2 r + N^2 = 1
+            assert math.cos(sq.r) ** 2 + sq.occupation == pytest.approx(1.0, rel=1e-14)
 
     def test_kappa_to_infinity_limit(self):
         sq = modes.squeeze_fermion(1.0, 1e15)
         assert sq.r == pytest.approx(math.pi / 4, rel=1e-12)
-        assert sq.cos_r**2 == pytest.approx(0.5, rel=1e-12)
+        assert math.cos(sq.r) ** 2 == pytest.approx(0.5, rel=1e-12)
+        assert sq.occupation == pytest.approx(0.5, rel=1e-12)
 
     def test_overflow_regime(self):
         sq = modes.squeeze_fermion(1e9, 1.0)
         assert sq.r == 0.0
-        assert sq.cos_r == 1.0
+        assert sq.occupation == 0.0
 
     def test_occupation_identity(self):
         for i in range(60):
             x = 10.0 ** (-3 + 4.0 * i / 59)
             sq = modes.squeeze_fermion(x / math.pi, 1.0)
-            n2 = modes.occupation(x / math.pi, 1.0, modes.FERMION)
-            assert n2 == pytest.approx(sq.occupation, rel=1e-12)
+            assert sq.occupation == pytest.approx(math.sin(sq.r) ** 2, rel=1e-12)
 
 
 class TestMonotonicity:
@@ -105,7 +106,7 @@ class TestMonotonicity:
 
     @pytest.mark.parametrize("statistics", [modes.BOSON, modes.FERMION])
     def test_occupation_increases_with_kappa(self, statistics):
-        values = [modes.occupation(1.0, 10.0**e, statistics) for e in range(-2, 4)]
+        values = [modes.squeeze(1.0, 10.0**e, statistics).occupation for e in range(-2, 4)]
         for lo, hi in zip(values, values[1:]):
             assert lo < hi
 
@@ -117,7 +118,7 @@ class TestDomainErrors:
         with pytest.raises(PhysicsDomainError):
             modes.squeeze_fermion(1.0, 0.0)
         with pytest.raises(PhysicsDomainError):
-            modes.occupation(1.0, -2.0, modes.BOSON)
+            modes.squeeze(1.0, -2.0, modes.BOSON)
         with pytest.raises(PhysicsDomainError):
             modes.squeeze(1.0, 1.0, "anyon")
 
@@ -126,11 +127,11 @@ class TestDomainErrors:
         [
             lambda: modes.squeeze(1.0, math.inf, modes.BOSON),
             lambda: modes.squeeze(math.nan, 1.0, modes.FERMION),
-            lambda: modes.occupation(1.0, math.nan, modes.BOSON),
-            lambda: modes.occupation(math.inf, 1.0, modes.FERMION),
+            lambda: modes.squeeze(1.0, math.nan, modes.BOSON),
+            lambda: modes.squeeze(math.inf, 1.0, modes.FERMION),
         ],
-        ids=["squeeze-kappa-inf", "squeeze-omega-nan", "occupation-kappa-nan",
-             "occupation-omega-inf"],
+        ids=["squeeze-kappa-inf", "squeeze-omega-nan", "squeeze-kappa-nan",
+             "squeeze-omega-inf"],
     )
     def test_non_finite_inputs(self, call):
         with pytest.raises(PhysicsDomainError, match="finite"):
@@ -144,12 +145,10 @@ class TestDomainErrors:
         # x = pi omega_eff / kappa is 0 or subnormal: 1/expm1(2x) would be inf
         with pytest.raises(PhysicsDomainError, match="underflows"):
             modes.squeeze(omega_eff, kappa, statistics)
-        with pytest.raises(PhysicsDomainError, match="underflows"):
-            modes.occupation(omega_eff, kappa, statistics)
 
     @pytest.mark.parametrize("statistics", [modes.BOSON, modes.FERMION])
     def test_smallest_normal_ratio_is_finite(self, statistics):
         kappa, omega_eff = 1.0, sys.float_info.min  # x = pi * 2.2e-308
         sq = modes.squeeze(omega_eff, kappa, statistics)
         assert math.isfinite(sq.r)
-        assert math.isfinite(modes.occupation(omega_eff, kappa, statistics))
+        assert math.isfinite(sq.occupation)

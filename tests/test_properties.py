@@ -6,10 +6,12 @@ t = 1 above it; tanh^2 r rounds to 1 from r ~ 19 on.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, seed, settings
+import pytest
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from bhent import channels, fock_oracle, kernels, modes
@@ -124,6 +126,64 @@ def test_mode_point_finite_or_domain_error(stats, omega, kappa, omega_h, m):
     except PhysicsDomainError:
         return
     assert all(math.isfinite(v) for v in (r, n_occ, fid, e_n.value))
+
+
+# mode_point checks x = pi omega_eff / kappa once and reads r, N^2 and F off
+# one SqueezingParams.  _reference_mode evaluates each of the three from its
+# own closed form (F_fermion through cos r); the two must agree bit for bit
+# from the smallest normal x up past the x > 700 fidelity limit.
+ratios = st.one_of(
+    st.floats(min_value=math.log(sys.float_info.min), max_value=math.log(800.0)).map(math.exp),
+    st.floats(min_value=sys.float_info.min, max_value=800.0),
+)
+
+
+def _reference_mode(omega_eff, kappa, stats):
+    x = math.pi * omega_eff / kappa
+    if x < sys.float_info.min:
+        return None
+    if stats == modes.BOSON:
+        if x > 350.0:
+            r = 0.0
+        else:
+            tanh_r = math.exp(-x)
+            r = 0.5 * (math.log1p(tanh_r) - math.log(-math.expm1(-x)))
+        n_occ = 0.0 if 2.0 * x > 700.0 else 1.0 / math.expm1(2.0 * x)
+        fid = 1.0 if x > 700.0 else (-math.expm1(-x)) ** 3
+    else:
+        if x > 350.0:
+            r, cos_r = 0.0, 1.0
+        else:
+            e = math.exp(-x)
+            cos_r = 1.0 / math.sqrt(1.0 + e * e)
+            r = math.atan(e)
+        if 2.0 * x > 700.0:
+            n_occ = 0.0
+        else:
+            e = math.exp(-2.0 * x)
+            n_occ = e / (1.0 + e)
+        fid = cos_r * cos_r
+    return r, n_occ, fid
+
+
+@seed(17)
+@PROPERTY
+@given(stats=statistics, x=ratios, kappa=scales)
+@example(stats=modes.BOSON, x=699.5, kappa=1.0)
+@example(stats=modes.BOSON, x=700.5, kappa=1.0)
+@example(stats=modes.FERMION, x=349.5, kappa=1.0)
+@example(stats=modes.FERMION, x=350.5, kappa=1.0)
+def test_mode_point_matches_reference_bits(stats, x, kappa):
+    omega_eff = x * kappa / math.pi
+    expected = _reference_mode(omega_eff, kappa, stats)
+    if expected is None:
+        with pytest.raises(PhysicsDomainError, match="underflows"):
+            channels.mode_point(omega_eff, 0, stats, kappa, 0.0, channels.DEFAULT_SERIES_TOL)
+        return
+    r, n_occ, fid, _ = channels.mode_point(
+        omega_eff, 0, stats, kappa, 0.0, channels.DEFAULT_SERIES_TOL
+    )
+    assert [v.hex() for v in (r, n_occ, fid)] == [v.hex() for v in expected]
 
 
 # Entries at least 1e-6 in magnitude (or zero), so that no square underflows.

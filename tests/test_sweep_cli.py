@@ -196,6 +196,15 @@ class TestRunSweep:
             "9.9999999999999999e-300,NA:domain,NA:domain,NA:domain,NA:domain",
         ]
 
+    def test_underflowing_naked_singularity_cells_are_na(self, tmp_path):
+        # 2a > mu at every row; a^2 and mu^2 underflow, so Delta(mu/2) would read 0
+        out = tmp_path / "ns.csv"
+        argv = ["sweep", "--axis", "a:1e-199:2e-199:2", "--fixed", "n=0",
+                "--fixed", "mu=2e-200", "--fixed", "omega=1", "--out", str(out)]
+        assert cli.main(argv) == 0
+        body = out.read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in body] == ["NA:naked_singularity"] * 2
+
     def test_overflowing_hole_cells_are_na(self, tmp_path):
         # d = 1000 needs an overflowing Gamma(999/2), as `geom --d 1000 --mass 1` does
         out = tmp_path / "ov.csv"
@@ -405,6 +414,24 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["geom", "--n", "0", "--mu", "2e-200", "--a", "1e-199"], "no horizon"),
+            (["geom", "--n", "0", "--mu", "1e300", "--a", "1e300"], "no horizon"),
+            (["geom", "--n", "0", "--mu", "2e-200"], "horizon underflows"),
+            (["geom", "--n", "0", "--mu", "2e-200", "--a", "5e-201"], "horizon underflows"),
+        ],
+        ids=["naked-underflow", "naked-overflow", "horizon-underflow",
+             "horizon-underflow-spinning"],
+    )
+    def test_extreme_kerr_exits_3(self, argv, message, capsys):
+        # Delta under- or overflows at these scales; the hole must not be misread
+        assert cli.main(argv) == cli.EXIT_PHYSICS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
 
     def test_teleport_takes_no_tol(self, capsys):
         assert cli.main(["teleport", "--kappa", "1", "--omega", "1", "--tol", "1e-6"]) == 2
