@@ -12,6 +12,13 @@ on floats, lists and dicts.  A bosonic state is refused with TruncationError
 when its analytic trace deficit, the probability mass beyond the truncation,
 exceeds the caller's tolerance.
 
+The bosonic post-measurement state of the fidelity oracle is block diagonal
+in the excitation sectors k1 + k2 of the receiver's two modes, and
+bob_post_state_bosonic assembles only the sector it is asked for (the
+fidelity reads sector 1, where the dual-rail target lives).  Its truncation
+certificate is still that of the whole state: the deficit is computed from
+every label's diagonal entry, not from the one block.
+
 Two negativity pathways exist for the bosonic resource and they do NOT agree:
 
 - negativity_numeric(bell_state_bosonic(...)) diagonalises the fully
@@ -337,52 +344,85 @@ def blockwise_negative_eigenvalue(r: float, n: int) -> float:
     return spectrum(partial_transpose(bell_block_bosonic(r, n)))[0]
 
 
+def _post_state_deficit(x: float, y: float, c0: list[float], c1: list[float]) -> float:
+    """1 - trace of the whole truncated post-state, over every sector.
+
+    The label (k1, k2) stores the square of its x amplitude, from the pair
+    (k1-1, k2), plus the square of its y amplitude, from the pair (k1, k2-1):
+    the one addition the pair-by-pair assembly makes, so each diagonal value
+    equals its stored one to the bit.  A missing amplitude is 0.0, whose
+    square adds exactly.
+    """
+    n = len(c0)  # n_trunc + 1 hidden-region occupations
+    diag = []
+    for k1 in range(n + 1):
+        xc = x * c1[k1 - 1] if k1 else 0.0
+        yc = y * c0[k1] if k1 < n else 0.0
+        amp_x = [xc * a for a in c0]  # k2 = 0 .. n_trunc
+        amp_x.append(0.0)
+        amp_y = [yc * a for a in c1]  # k2 = 1 .. n_trunc + 1
+        amp_y.insert(0, 0.0)
+        diag += [ax * ax + ay * ay for ax, ay in zip(amp_x, amp_y)]
+    return 1.0 - math.fsum(diag)
+
+
 def bob_post_state_bosonic(
     r: float,
     qubit: DualRailQubit,
     outcome: tuple[int, int],
     n_trunc: int = DEFAULT_TRUNC,
+    *,
+    sector: int,
 ) -> TruncatedDensityMatrix:
-    """Receiver's post-measurement state for the bosonic dual-rail protocol.
+    """One excitation sector of the receiver's bosonic dual-rail post-state.
 
     The conditioned logical state x|0> + y|1> is written in dual-rail form,
     each of the receiver's two cavity modes is expanded through the two-mode
     squeezing relation, and the hidden region is traced out.  Basis labels
-    are (k1, k2) occupation pairs of the two observable modes; at most
-    4 (n_trunc+1)^2 entries are non-zero.
+    are (k1, k2) occupation pairs of the two observable modes.  Each
+    hidden-region pair (n1, n2) adds a rank-one projector that lies entirely
+    in the sector k1 + k2 = n1 + n2 + 1, so the state is block diagonal in
+    the sectors 1 .. 2 n_trunc + 1; only the block of `sector` is assembled.
+    Its basis is (k1, sector - k1) in ascending k1, and its entries equal the
+    whole state's entries of that sector, in the same order and to the bit.
+    trace_deficit is still the deficit of the whole truncated state.
     """
     _check_bosonic_args(r, n_trunc)
+    if not (
+        isinstance(sector, int)
+        and not isinstance(sector, bool)
+        and 1 <= sector <= 2 * n_trunc + 1
+    ):
+        raise PhysicsDomainError(
+            f"excitation sector must be an integer in [1, {2 * n_trunc + 1}], got {sector!r}"
+        )
     x, y = qubit.conditional(*outcome)
     c0, c1 = _squeeze_amplitudes(r, n_trunc)
+    deficit = _post_state_deficit(x, y, c0, c1)
+    # Looser than the Bell-state gate: the dual-rail fidelity reads only the
+    # n1 = n2 = 0 terms, which the truncation never removes.
+    _check_truncation(r, n_trunc, deficit, 0.01)
 
-    width = n_trunc + 2  # occupations 0 .. n_trunc + 1 per mode
-    basis = tuple((k1, k2) for k1 in range(width) for k2 in range(width))
+    lo, hi = max(0, sector - 1 - n_trunc), min(sector - 1, n_trunc)
+    basis = tuple((k1, sector - k1) for k1 in range(lo, hi + 2))
     entries: dict = {}
     get = entries.get
-    # Hidden-region occupations (n1, n2) are orthogonal, so each pair
-    # contributes a rank-one projector onto
+    # The pair (n1, n2) projects onto
     #   x c1[n1] c0[n2] |n1+1, n2>  +  y c0[n1] c1[n2] |n1, n2+1>.
     # Its four entries are written in _add_projector's order and to its bits:
     # |n1+1, n2> has not occurred before, so its diagonal starts at 0.0, and
     # no other pair couples the two labels.  |n1, n2+1> may already carry a
     # diagonal from the pair (n1-1, n2+1).
-    for n1 in range(n_trunc + 1):
-        row_x = basis[(n1 + 1) * width : (n1 + 2) * width - 1]  # (n1+1, n2)
-        row_y = basis[n1 * width + 1 : (n1 + 1) * width]  # (n1, n2+1)
-        xc, yc = x * c1[n1], y * c0[n1]
-        for lx, ly, a0, a1 in zip(row_x, row_y, c0, c1):
-            amp_x = xc * a0
-            amp_y = yc * a1
-            coherence = amp_x * amp_y
-            entries[lx, lx] = amp_x * amp_x
-            entries[lx, ly] = coherence
-            entries[ly, lx] = coherence
-            key = (ly, ly)
-            entries[key] = get(key, 0.0) + amp_y * amp_y
-    deficit = 1.0 - _diagonal_sum(entries)
-    # Looser than the Bell-state gate: the dual-rail fidelity reads only the
-    # n1 = n2 = 0 terms, which the truncation never removes.
-    _check_truncation(r, n_trunc, deficit, 0.01)
+    for n1, lx, ly in zip(range(lo, hi + 1), basis[1:], basis):
+        n2 = sector - 1 - n1
+        amp_x = x * c1[n1] * c0[n2]
+        amp_y = y * c0[n1] * c1[n2]
+        coherence = amp_x * amp_y
+        entries[lx, lx] = amp_x * amp_x
+        entries[lx, ly] = coherence
+        entries[ly, lx] = coherence
+        key = (ly, ly)
+        entries[key] = get(key, 0.0) + amp_y * amp_y
     return TruncatedDensityMatrix(basis, entries, deficit)
 
 

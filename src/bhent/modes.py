@@ -94,8 +94,15 @@ def squeeze_boson(omega_eff: float, kappa: float) -> SqueezingParams:
     if x > _X_OVERFLOW:
         return SqueezingParams(x, 0.0, 0.0)
     tanh_r = math.exp(-x)
-    # atanh(e^-x) = [log1p(e^-x) - log1p(-e^-x)]/2; log1p(-e^-x) = log(-expm1(-x))
-    r = 0.5 * (math.log1p(tanh_r) - math.log(-math.expm1(-x)))
+    # atanh(e^-x) = [log1p(e^-x) - log1p(-e^-x)]/2.  For small x the rounded
+    # e^-x is close to 1, so 1 - e^-x is formed as -expm1(-x).  For large x
+    # that rounds to 1 and its log to 0 (r comes out exactly halved from
+    # x ~ 37 on), while log1p(-e^-x) stays accurate.  Switching at x = 3
+    # leaves every r below it as it was.
+    if x > 3.0:
+        r = 0.5 * (math.log1p(tanh_r) - math.log1p(-tanh_r))
+    else:
+        r = 0.5 * (math.log1p(tanh_r) - math.log(-math.expm1(-x)))
     return SqueezingParams(x, r, 1.0 / math.expm1(2.0 * x))
 
 

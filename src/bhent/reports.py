@@ -154,7 +154,9 @@ def fidelity_boson_rows(
     Three candidates per point: the stated closed form (1 - e^-x)^3, the
     alternative cosh^-6 r = (1 - e^-2x)^3, and the constructive oracle.  A
     final verdict row names the closed form the construction matches.  The
-    teleported qubit is (0.6, 0.8).
+    teleported qubit is (0.6, 0.8).  The oracle builds only sector 1 of the
+    receiver's post-state, where the target x|1,0> + y|0,1> lives, and
+    certifies the truncation of the whole state.
     """
     qubit = fock_oracle.DualRailQubit(0.6, 0.8)
     rows = []
@@ -165,7 +167,7 @@ def fidelity_boson_rows(
         outcome = (0, 0)
         xa, ya = qubit.conditional(*outcome)
         oracle = fock_oracle.fidelity_numeric(
-            fock_oracle.bob_post_state_bosonic(sq.r, qubit, outcome, n_trunc),
+            fock_oracle.bob_post_state_bosonic(sq.r, qubit, outcome, n_trunc, sector=1),
             fock_oracle.dual_rail_target(xa, ya),
         )
         stated = (-math.expm1(-x)) ** 3

@@ -1,6 +1,10 @@
 """Shared test helpers (not collected: the file name does not start with test_)."""
 
+import math
+
 import numpy as np
+
+from bhent import fock_oracle
 
 
 def dense(rho):
@@ -10,3 +14,28 @@ def dense(rho):
     for (i, j), v in rho.entries.items():
         out[idx[i], idx[j]] = v
     return out
+
+
+def reference_post_state(r, qubit, outcome, n_trunc):
+    """The whole bosonic post-state's entries and deficit, one projector per (n1, n2).
+
+    The pair-by-pair loop the one-pass assembly replaced: a two-item vector
+    per pair, added as weight * (a_i * a_j) onto entries.get(key, 0.0).
+    Returns the stored (key, value) items, zeros dropped, and the deficit.
+    """
+    x, y = qubit.conditional(*outcome)
+    c0, c1 = fock_oracle._squeeze_amplitudes(r, n_trunc)
+    entries = {}
+    for n1 in range(n_trunc + 1):
+        for n2 in range(n_trunc + 1):
+            vec = [((n1 + 1, n2), x * c1[n1] * c0[n2]), ((n1, n2 + 1), y * c0[n1] * c1[n2])]
+            for li, ai in vec:
+                for lj, aj in vec:
+                    entries[li, lj] = entries.get((li, lj), 0.0) + 1.0 * (ai * aj)
+    deficit = 1.0 - math.fsum(v for (i, j), v in entries.items() if i == j)
+    return [(k, v) for k, v in entries.items() if v != 0.0], deficit
+
+
+def sector_items(items, sector):
+    """The reference items whose labels lie in the excitation sector, in order."""
+    return [(k, v) for k, v in items if sum(k[0]) == sector]

@@ -5,7 +5,7 @@ import pytest
 
 from bhent import channels, fock_oracle, kernels
 from bhent.errors import ContractViolationError, PhysicsDomainError, TruncationError
-from helpers import dense
+from helpers import dense, reference_post_state, sector_items
 
 
 def _entries(basis, matrix):
@@ -145,7 +145,7 @@ class TestBosonicTeleportation:
             x, y = qubit.conditional(*outcome)
             fids.append(
                 fock_oracle.fidelity_numeric(
-                    fock_oracle.bob_post_state_bosonic(r, qubit, outcome, 30),
+                    fock_oracle.bob_post_state_bosonic(r, qubit, outcome, 30, sector=1),
                     fock_oracle.dual_rail_target(x, y),
                 )
             )
@@ -154,7 +154,7 @@ class TestBosonicTeleportation:
     def test_zero_squeezing_is_perfect(self):
         qubit = fock_oracle.DualRailQubit(1.0, 0.0)
         fid = fock_oracle.fidelity_numeric(
-            fock_oracle.bob_post_state_bosonic(0.0, qubit, (0, 0), 10),
+            fock_oracle.bob_post_state_bosonic(0.0, qubit, (0, 0), 10, sector=1),
             fock_oracle.dual_rail_target(1.0, 0.0),
         )
         assert fid == pytest.approx(1.0, abs=1e-14)
@@ -166,7 +166,7 @@ class TestBosonicTeleportation:
         for trunc in (20, 40):
             vals.append(
                 fock_oracle.fidelity_numeric(
-                    fock_oracle.bob_post_state_bosonic(0.5, qubit, (0, 0), trunc),
+                    fock_oracle.bob_post_state_bosonic(0.5, qubit, (0, 0), trunc, sector=1),
                     fock_oracle.dual_rail_target(x, y),
                 )
             )
@@ -189,19 +189,22 @@ class TestSparseAssembly:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: fock_oracle.partial_transpose(
-                fock_oracle.bell_state_bosonic(math.atanh(0.5), 20)
-            ),
-            lambda: fock_oracle.bob_post_state_bosonic(
-                math.atanh(0.3), fock_oracle.DualRailQubit(0.6, 0.8), (1, 0), 8
-            ),
+            lambda: [
+                fock_oracle.partial_transpose(fock_oracle.bell_state_bosonic(math.atanh(0.5), 20))
+            ],
+            lambda: [
+                fock_oracle.bob_post_state_bosonic(
+                    math.atanh(0.3), fock_oracle.DualRailQubit(0.6, 0.8), (1, 0), 8, sector=s
+                )
+                for s in range(1, 2 * 8 + 2)
+            ],
         ],
         ids=["bell-ppt", "post-state"],
     )
     def test_blockwise_spectrum_matches_lapack(self, build):
-        rho = build()
-        ref = np.linalg.eigvalsh(dense(rho))
-        assert np.allclose(fock_oracle.spectrum(rho), ref, rtol=0.0, atol=1e-14)
+        for rho in build():
+            ref = np.linalg.eigvalsh(dense(rho))
+            assert np.allclose(fock_oracle.spectrum(rho), ref, rtol=0.0, atol=1e-14)
 
     def test_negativity_matches_dense_spectrum(self):
         rho = fock_oracle.bell_state_bosonic(math.atanh(0.7), 40)
@@ -224,15 +227,16 @@ class TestSparseAssembly:
         ppt = fock_oracle.partial_transpose(fock_oracle.bell_state_bosonic(r, 40))
         widths = [len(b) for b in fock_oracle.connected_blocks(ppt)]
         assert (len(widths), max(widths)) == (43, 2)
-        post = fock_oracle.bob_post_state_bosonic(
-            r, fock_oracle.DualRailQubit(0.6, 0.8), (0, 0), 40
-        )
-        blocks = fock_oracle.connected_blocks(post)
-        # found without being told: one block per total excitation k1 + k2
-        totals = [{k1 + k2 for k1, k2 in block} for block in blocks]
-        assert all(len(t) == 1 for t in totals)
-        assert sorted(t.pop() for t in totals) == list(range(1, 82))
-        assert max(len(b) for b in blocks) == 42
+        # each excitation sector k1 + k2 of the post-state, found as one block
+        widths = []
+        for sector in range(1, 2 * 40 + 2):
+            post = fock_oracle.bob_post_state_bosonic(
+                r, fock_oracle.DualRailQubit(0.6, 0.8), (0, 0), 40, sector=sector
+            )
+            assert {k1 + k2 for k1, k2 in post.basis} == {sector}
+            assert fock_oracle.connected_blocks(post) == [list(post.basis)]
+            widths.append(post.dim)
+        assert (len(widths), max(widths)) == (81, 42)
 
     def test_zero_entries_are_not_stored(self):
         rho = fock_oracle.bell_state_bosonic(0.0, 10)
@@ -245,32 +249,12 @@ class TestSparseAssembly:
             fock_oracle.TruncatedDensityMatrix(((0, 0), (0, 0)), {((0, 0), (0, 0)): 1.0})
 
 
-def _reference_post_state(r, qubit, outcome, n_trunc):
-    """bob_post_state_bosonic's entries and deficit, one projector per (n1, n2).
-
-    The pair-by-pair loop the one-pass assembly replaced: a two-item vector
-    per pair, added as weight * (a_i * a_j) onto entries.get(key, 0.0).
-    Returns the stored (key, value) items, zeros dropped, and the deficit.
-    """
-    x, y = qubit.conditional(*outcome)
-    c0, c1 = fock_oracle._squeeze_amplitudes(r, n_trunc)
-    entries = {}
-    for n1 in range(n_trunc + 1):
-        for n2 in range(n_trunc + 1):
-            vec = [((n1 + 1, n2), x * c1[n1] * c0[n2]), ((n1, n2 + 1), y * c0[n1] * c1[n2])]
-            for li, ai in vec:
-                for lj, aj in vec:
-                    entries[li, lj] = entries.get((li, lj), 0.0) + 1.0 * (ai * aj)
-    deficit = 1.0 - math.fsum(v for (i, j), v in entries.items() if i == j)
-    return [(k, v) for k, v in entries.items() if v != 0.0], deficit
-
-
 def _hex_items(items):
     return [(k, v.hex()) for k, v in items]
 
 
 class TestPostStateAssembly:
-    """The one-pass post-state against the pair-by-pair reference, to the bit."""
+    """Every sector block against the pair-by-pair reference, to the bit."""
 
     # r = 0 makes c0[n] = 0 for n >= 1, so the assembly writes zeros and,
     # with the negative amplitude, negative zeros, which must be dropped.
@@ -283,14 +267,29 @@ class TestPostStateAssembly:
         for alpha, beta in self.QUBITS:
             qubit = fock_oracle.DualRailQubit(alpha, beta)
             for outcome in self.OUTCOMES:
-                items, deficit = _reference_post_state(r, qubit, outcome, n_trunc)
-                if deficit > 0.01:
-                    with pytest.raises(TruncationError, match="trace deficit"):
-                        fock_oracle.bob_post_state_bosonic(r, qubit, outcome, n_trunc)
-                    continue
-                post = fock_oracle.bob_post_state_bosonic(r, qubit, outcome, n_trunc)
-                assert _hex_items(post.entries.items()) == _hex_items(items)
-                assert post.trace_deficit.hex() == deficit.hex()
+                items, deficit = reference_post_state(r, qubit, outcome, n_trunc)
+                for sector in range(1, 2 * n_trunc + 2):
+                    if deficit > 0.01:
+                        with pytest.raises(TruncationError, match="trace deficit"):
+                            fock_oracle.bob_post_state_bosonic(
+                                r, qubit, outcome, n_trunc, sector=sector
+                            )
+                        continue
+                    post = fock_oracle.bob_post_state_bosonic(
+                        r, qubit, outcome, n_trunc, sector=sector
+                    )
+                    assert _hex_items(post.entries.items()) == _hex_items(
+                        sector_items(items, sector)
+                    )
+                    assert post.trace_deficit.hex() == deficit.hex()
+
+    def test_sector_is_required_and_checked(self):
+        qubit = fock_oracle.DualRailQubit(0.6, 0.8)
+        with pytest.raises(TypeError):
+            fock_oracle.bob_post_state_bosonic(0.5, qubit, (0, 0), 7)
+        for sector in (0, 2 * 7 + 2, -1, 1.0, True, "1", None):
+            with pytest.raises(PhysicsDomainError, match="excitation sector"):
+                fock_oracle.bob_post_state_bosonic(0.5, qubit, (0, 0), 7, sector=sector)
 
     def test_density_matrix_copies_its_entries(self):
         basis = ((0, 0), (0, 1))
@@ -335,9 +334,10 @@ class TestMaxTrunc:
         n = fock_oracle.MAX_TRUNC
         r = math.atanh(0.9)
         qubit = fock_oracle.DualRailQubit(0.6, 0.8)
-        post = fock_oracle.bob_post_state_bosonic(r, qubit, (0, 0), n)
-        # the memory proxy: O(n^2) stored entries, not (n+2)^4
-        assert len(post.entries) <= 4 * (n + 1) ** 2
+        post = fock_oracle.bob_post_state_bosonic(r, qubit, (0, 0), n, sector=1)
+        # the memory proxy: the sector-1 block is 2 x 2, whatever the truncation
+        assert post.basis == ((0, 1), (1, 0))
+        assert len(post.entries) <= 4
         x, y = qubit.conditional(0, 0)
         fid = fock_oracle.fidelity_numeric(post, fock_oracle.dual_rail_target(x, y))
         assert fid == pytest.approx((1.0 - math.tanh(r) ** 2) ** 3, abs=1e-14)  # cosh^-6 r

@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import pytest
 
 from bhent import modes
@@ -42,10 +43,19 @@ class TestSqueezeBoson:
         assert sq.occupation == pytest.approx(1.0 / 3.0, rel=1e-13)
 
     def test_consistency(self):
-        for x in [1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0]:
+        # abs=0: at x = 10 and above tanh r is below approx's default abs=1e-12
+        for x in [1e-6, 1e-3, 0.1, 1.0, 10.0, 37.0, 100.0, 300.0]:
             sq = modes.squeeze_boson(x / math.pi, 1.0)
-            assert math.tanh(sq.r) == pytest.approx(math.exp(-x), rel=1e-12)
-            assert sq.x == pytest.approx(x, rel=1e-14)
+            assert math.tanh(sq.r) == pytest.approx(math.exp(-x), rel=1e-12, abs=0)
+            assert sq.x == pytest.approx(x, rel=1e-14, abs=0)
+
+    def test_large_x_matches_mpmath(self):
+        # r = atanh(e^-x) keeps its relative accuracy where 1 - e^-x rounds to 1
+        with mpmath.workdps(40):
+            for i in range(34):
+                sq = modes.squeeze_boson(10.0 + 10.0 * i, math.pi)  # x = 10 .. 340
+                exact = mpmath.atanh(mpmath.exp(-mpmath.mpf(sq.x)))
+                assert sq.r == pytest.approx(float(exact), rel=1e-15, abs=0)
 
     def test_overflow_regime(self):
         sq = modes.squeeze_boson(1e6, 1.0)

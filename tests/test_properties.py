@@ -15,7 +15,8 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from bhent import channels, fock_oracle, kernels, modes
-from bhent.errors import PhysicsDomainError
+from bhent.errors import PhysicsDomainError, TruncationError
+from helpers import reference_post_state, sector_items
 
 SERIES_LIMIT = math.log2(1.0 + math.sqrt(math.pi) / 2.0)
 # Rounding slack: at t = 1 - 2^-52 the exact E_N exceeds SERIES_LIMIT by
@@ -147,7 +148,10 @@ def _reference_mode(omega_eff, kappa, stats):
             r = 0.0
         else:
             tanh_r = math.exp(-x)
-            r = 0.5 * (math.log1p(tanh_r) - math.log(-math.expm1(-x)))
+            if x > 3.0:
+                r = 0.5 * (math.log1p(tanh_r) - math.log1p(-tanh_r))
+            else:
+                r = 0.5 * (math.log1p(tanh_r) - math.log(-math.expm1(-x)))
         n_occ = 0.0 if 2.0 * x > 700.0 else 1.0 / math.expm1(2.0 * x)
         fid = 1.0 if x > 700.0 else (-math.expm1(-x)) ** 3
     else:
@@ -258,6 +262,54 @@ def test_blockwise_oracle_matches_series(tanh_r):
     oracle = fock_oracle.blockwise_negativity_bosonic(r, trunc, GATE).log_negativity
     series = channels.log_negativity_boson(r, GATE / 10.0).value
     assert abs(oracle - series) < GATE
+
+
+# bob_post_state_bosonic builds one excitation sector k1 + k2 of the post-state.
+# Each block must equal the whole state of the pair-by-pair reference,
+# filtered to its sector, in order and to the bit, and carry the whole
+# state's deficit.  Its labels form a chain joined by the coherences of
+# neighbouring labels, so it is one block wherever those are non-zero.  A
+# coherence is zero when x or y is, or when it underflows at tiny r (at
+# r = 3e-5, T = 57 sector 37 falls apart into 11 blocks).
+small_r = st.floats(min_value=-12.0, max_value=0.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def post_state_draws(draw):
+    n_trunc = draw(st.integers(min_value=2, max_value=60))
+    return (
+        draw(st.one_of(st.floats(min_value=0.0, max_value=2.5), small_r)),
+        n_trunc,
+        draw(st.floats(min_value=0.0, max_value=2.0 * math.pi)),
+        draw(st.tuples(st.integers(0, 1), st.integers(0, 1))),
+        draw(st.integers(min_value=1, max_value=2 * n_trunc + 1)),
+    )
+
+
+@seed(18)
+@settings(max_examples=150, deadline=2000, database=None)
+@given(args=post_state_draws())
+def test_post_state_sector_matches_reference(args):
+    r, n_trunc, phi, outcome, sector = args
+    qubit = fock_oracle.DualRailQubit(math.cos(phi), math.sin(phi))
+    for bad in (0, 2 * n_trunc + 2):
+        with pytest.raises(PhysicsDomainError, match="excitation sector"):
+            fock_oracle.bob_post_state_bosonic(r, qubit, outcome, n_trunc, sector=bad)
+    items, deficit = reference_post_state(r, qubit, outcome, n_trunc)
+    if deficit > 0.01:
+        with pytest.raises(TruncationError, match="trace deficit"):
+            fock_oracle.bob_post_state_bosonic(r, qubit, outcome, n_trunc, sector=sector)
+        return
+    post = fock_oracle.bob_post_state_bosonic(r, qubit, outcome, n_trunc, sector=sector)
+    assert [(k, v.hex()) for k, v in post.entries.items()] == [
+        (k, v.hex()) for k, v in sector_items(items, sector)
+    ]
+    assert post.trace_deficit.hex() == deficit.hex()
+    links = [post.entries.get(pair, 0.0) for pair in zip(post.basis[1:], post.basis)]
+    blocks = fock_oracle.connected_blocks(post)
+    assert len(blocks) <= 1 + links.count(0.0)
+    if all(links):
+        assert blocks == [list(post.basis)]
 
 
 # fock_oracle._fused_dot against its exact-rational reference form, bit for
