@@ -14,10 +14,10 @@ exceeds the caller's tolerance.
 
 The bosonic post-measurement state of the fidelity oracle is block diagonal
 in the excitation sectors k1 + k2 of the receiver's two modes, and
-bob_post_state_bosonic assembles only the sector it is asked for (the
-fidelity reads sector 1, where the dual-rail target lives).  Its truncation
-certificate is still that of the whole state: the deficit is computed from
-every label's diagonal entry, not from the one block.
+bob_post_state_bosonic assembles only sector 1, the one the fidelity reads,
+where the dual-rail target lives.  Its truncation certificate is still that
+of the whole state: the deficit is computed from every label's diagonal
+entry, not from the one block.
 
 Two negativity pathways exist for the bosonic resource and they do NOT agree:
 
@@ -371,10 +371,8 @@ def bob_post_state_bosonic(
     qubit: DualRailQubit,
     outcome: tuple[int, int],
     n_trunc: int = DEFAULT_TRUNC,
-    *,
-    sector: int,
 ) -> TruncatedDensityMatrix:
-    """One excitation sector of the receiver's bosonic dual-rail post-state.
+    """Sector-1 block of the receiver's bosonic dual-rail post-state.
 
     The conditioned logical state x|0> + y|1> is written in dual-rail form,
     each of the receiver's two cavity modes is expanded through the two-mode
@@ -382,20 +380,13 @@ def bob_post_state_bosonic(
     are (k1, k2) occupation pairs of the two observable modes.  Each
     hidden-region pair (n1, n2) adds a rank-one projector that lies entirely
     in the sector k1 + k2 = n1 + n2 + 1, so the state is block diagonal in
-    the sectors 1 .. 2 n_trunc + 1; only the block of `sector` is assembled.
-    Its basis is (k1, sector - k1) in ascending k1, and its entries equal the
-    whole state's entries of that sector, in the same order and to the bit.
-    trace_deficit is still the deficit of the whole truncated state.
+    the sectors 1 .. 2 n_trunc + 1.  Only sector 1, where the dual-rail
+    target x|1,0> + y|0,1> lives, is assembled: the pair (0, 0) on the basis
+    ((0, 1), (1, 0)).  Its entries equal the whole state's entries of that
+    sector, in the same order and to the bit.  trace_deficit is still the
+    deficit of the whole truncated state.
     """
     _check_bosonic_args(r, n_trunc)
-    if not (
-        isinstance(sector, int)
-        and not isinstance(sector, bool)
-        and 1 <= sector <= 2 * n_trunc + 1
-    ):
-        raise PhysicsDomainError(
-            f"excitation sector must be an integer in [1, {2 * n_trunc + 1}], got {sector!r}"
-        )
     x, y = qubit.conditional(*outcome)
     c0, c1 = _squeeze_amplitudes(r, n_trunc)
     deficit = _post_state_deficit(x, y, c0, c1)
@@ -403,27 +394,19 @@ def bob_post_state_bosonic(
     # n1 = n2 = 0 terms, which the truncation never removes.
     _check_truncation(r, n_trunc, deficit, 0.01)
 
-    lo, hi = max(0, sector - 1 - n_trunc), min(sector - 1, n_trunc)
-    basis = tuple((k1, sector - k1) for k1 in range(lo, hi + 2))
-    entries: dict = {}
-    get = entries.get
-    # The pair (n1, n2) projects onto
-    #   x c1[n1] c0[n2] |n1+1, n2>  +  y c0[n1] c1[n2] |n1, n2+1>.
-    # Its four entries are written in _add_projector's order and to its bits:
-    # |n1+1, n2> has not occurred before, so its diagonal starts at 0.0, and
-    # no other pair couples the two labels.  |n1, n2+1> may already carry a
-    # diagonal from the pair (n1-1, n2+1).
-    for n1, lx, ly in zip(range(lo, hi + 1), basis[1:], basis):
-        n2 = sector - 1 - n1
-        amp_x = x * c1[n1] * c0[n2]
-        amp_y = y * c0[n1] * c1[n2]
-        coherence = amp_x * amp_y
-        entries[lx, lx] = amp_x * amp_x
-        entries[lx, ly] = coherence
-        entries[ly, lx] = coherence
-        key = (ly, ly)
-        entries[key] = get(key, 0.0) + amp_y * amp_y
-    return TruncatedDensityMatrix(basis, entries, deficit)
+    # The pair (0, 0) projects onto x c1[0] c0[0] |1, 0> + y c0[0] c1[0] |0, 1>;
+    # its four entries are written in _add_projector's order.
+    lx, ly = (1, 0), (0, 1)
+    amp_x = x * c1[0] * c0[0]
+    amp_y = y * c0[0] * c1[0]
+    coherence = amp_x * amp_y
+    entries = {
+        (lx, lx): amp_x * amp_x,
+        (lx, ly): coherence,
+        (ly, lx): coherence,
+        (ly, ly): amp_y * amp_y,
+    }
+    return TruncatedDensityMatrix((ly, lx), entries, deficit)
 
 
 def bob_post_state_fermionic(

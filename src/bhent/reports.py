@@ -167,7 +167,7 @@ def fidelity_boson_rows(
         outcome = (0, 0)
         xa, ya = qubit.conditional(*outcome)
         oracle = fock_oracle.fidelity_numeric(
-            fock_oracle.bob_post_state_bosonic(sq.r, qubit, outcome, n_trunc, sector=1),
+            fock_oracle.bob_post_state_bosonic(sq.r, qubit, outcome, n_trunc),
             fock_oracle.dual_rail_target(xa, ya),
         )
         stated = (-math.expm1(-x)) ** 3

@@ -145,7 +145,7 @@ class TestBosonicTeleportation:
             x, y = qubit.conditional(*outcome)
             fids.append(
                 fock_oracle.fidelity_numeric(
-                    fock_oracle.bob_post_state_bosonic(r, qubit, outcome, 30, sector=1),
+                    fock_oracle.bob_post_state_bosonic(r, qubit, outcome, 30),
                     fock_oracle.dual_rail_target(x, y),
                 )
             )
@@ -154,7 +154,7 @@ class TestBosonicTeleportation:
     def test_zero_squeezing_is_perfect(self):
         qubit = fock_oracle.DualRailQubit(1.0, 0.0)
         fid = fock_oracle.fidelity_numeric(
-            fock_oracle.bob_post_state_bosonic(0.0, qubit, (0, 0), 10, sector=1),
+            fock_oracle.bob_post_state_bosonic(0.0, qubit, (0, 0), 10),
             fock_oracle.dual_rail_target(1.0, 0.0),
         )
         assert fid == pytest.approx(1.0, abs=1e-14)
@@ -166,7 +166,7 @@ class TestBosonicTeleportation:
         for trunc in (20, 40):
             vals.append(
                 fock_oracle.fidelity_numeric(
-                    fock_oracle.bob_post_state_bosonic(0.5, qubit, (0, 0), trunc, sector=1),
+                    fock_oracle.bob_post_state_bosonic(0.5, qubit, (0, 0), trunc),
                     fock_oracle.dual_rail_target(x, y),
                 )
             )
@@ -194,9 +194,8 @@ class TestSparseAssembly:
             ],
             lambda: [
                 fock_oracle.bob_post_state_bosonic(
-                    math.atanh(0.3), fock_oracle.DualRailQubit(0.6, 0.8), (1, 0), 8, sector=s
+                    math.atanh(0.3), fock_oracle.DualRailQubit(0.6, 0.8), (1, 0), 8
                 )
-                for s in range(1, 2 * 8 + 2)
             ],
         ],
         ids=["bell-ppt", "post-state"],
@@ -227,16 +226,9 @@ class TestSparseAssembly:
         ppt = fock_oracle.partial_transpose(fock_oracle.bell_state_bosonic(r, 40))
         widths = [len(b) for b in fock_oracle.connected_blocks(ppt)]
         assert (len(widths), max(widths)) == (43, 2)
-        # each excitation sector k1 + k2 of the post-state, found as one block
-        widths = []
-        for sector in range(1, 2 * 40 + 2):
-            post = fock_oracle.bob_post_state_bosonic(
-                r, fock_oracle.DualRailQubit(0.6, 0.8), (0, 0), 40, sector=sector
-            )
-            assert {k1 + k2 for k1, k2 in post.basis} == {sector}
-            assert fock_oracle.connected_blocks(post) == [list(post.basis)]
-            widths.append(post.dim)
-        assert (len(widths), max(widths)) == (81, 42)
+        # the post-state's sector k1 + k2 = 1, found as one block
+        post = fock_oracle.bob_post_state_bosonic(r, fock_oracle.DualRailQubit(0.6, 0.8), (0, 0), 40)
+        assert fock_oracle.connected_blocks(post) == [[(0, 1), (1, 0)]]
 
     def test_zero_entries_are_not_stored(self):
         rho = fock_oracle.bell_state_bosonic(0.0, 10)
@@ -254,7 +246,7 @@ def _hex_items(items):
 
 
 class TestPostStateAssembly:
-    """Every sector block against the pair-by-pair reference, to the bit."""
+    """The sector-1 block against the pair-by-pair reference, to the bit."""
 
     # r = 0 makes c0[n] = 0 for n >= 1, so the assembly writes zeros and,
     # with the negative amplitude, negative zeros, which must be dropped.
@@ -268,28 +260,14 @@ class TestPostStateAssembly:
             qubit = fock_oracle.DualRailQubit(alpha, beta)
             for outcome in self.OUTCOMES:
                 items, deficit = reference_post_state(r, qubit, outcome, n_trunc)
-                for sector in range(1, 2 * n_trunc + 2):
-                    if deficit > 0.01:
-                        with pytest.raises(TruncationError, match="trace deficit"):
-                            fock_oracle.bob_post_state_bosonic(
-                                r, qubit, outcome, n_trunc, sector=sector
-                            )
-                        continue
-                    post = fock_oracle.bob_post_state_bosonic(
-                        r, qubit, outcome, n_trunc, sector=sector
-                    )
-                    assert _hex_items(post.entries.items()) == _hex_items(
-                        sector_items(items, sector)
-                    )
-                    assert post.trace_deficit.hex() == deficit.hex()
-
-    def test_sector_is_required_and_checked(self):
-        qubit = fock_oracle.DualRailQubit(0.6, 0.8)
-        with pytest.raises(TypeError):
-            fock_oracle.bob_post_state_bosonic(0.5, qubit, (0, 0), 7)
-        for sector in (0, 2 * 7 + 2, -1, 1.0, True, "1", None):
-            with pytest.raises(PhysicsDomainError, match="excitation sector"):
-                fock_oracle.bob_post_state_bosonic(0.5, qubit, (0, 0), 7, sector=sector)
+                if deficit > 0.01:
+                    with pytest.raises(TruncationError, match="trace deficit"):
+                        fock_oracle.bob_post_state_bosonic(r, qubit, outcome, n_trunc)
+                    continue
+                post = fock_oracle.bob_post_state_bosonic(r, qubit, outcome, n_trunc)
+                assert post.basis == ((0, 1), (1, 0))
+                assert _hex_items(post.entries.items()) == _hex_items(sector_items(items, 1))
+                assert post.trace_deficit.hex() == deficit.hex()
 
     def test_density_matrix_copies_its_entries(self):
         basis = ((0, 0), (0, 1))
@@ -334,7 +312,7 @@ class TestMaxTrunc:
         n = fock_oracle.MAX_TRUNC
         r = math.atanh(0.9)
         qubit = fock_oracle.DualRailQubit(0.6, 0.8)
-        post = fock_oracle.bob_post_state_bosonic(r, qubit, (0, 0), n, sector=1)
+        post = fock_oracle.bob_post_state_bosonic(r, qubit, (0, 0), n)
         # the memory proxy: the sector-1 block is 2 x 2, whatever the truncation
         assert post.basis == ((0, 1), (1, 0))
         assert len(post.entries) <= 4
