@@ -15,9 +15,10 @@ exceeds the caller's tolerance.
 The bosonic post-measurement state of the fidelity oracle is block diagonal
 in the excitation sectors k1 + k2 of the receiver's two modes, and
 bob_post_state_bosonic assembles only sector 1, the one the fidelity reads,
-where the dual-rail target lives.  Its truncation certificate is still that
-of the whole state: the deficit is computed from every label's diagonal
-entry, not from the one block.
+where the dual-rail target lives.  Its truncation certificate is that of the
+whole state, in closed form: the trace is S0 S1, the product of the truncated
+sums of c0[n]^2 and c1[n]^2, so the deficit is 1 - S0 S1 = A + B - A B for
+their analytic tails A and B.  No certificate sums matrix entries.
 
 Two negativity pathways exist for the bosonic resource and they do NOT agree:
 
@@ -154,16 +155,23 @@ def _squeeze_amplitudes(r: float, n_trunc: int) -> tuple[list[float], list[float
     return c0, c1
 
 
-def _bosonic_trace_deficit(r: float, n_trunc: int) -> float:
-    """Analytic probability mass of the Bell resource beyond truncation."""
+def _bosonic_tails(r: float, n_trunc: int) -> tuple[float, float, float]:
+    """s = tanh^2 r and the tails A, B of sum c0[n]^2 and sum c1[n]^2 past n_trunc.
+
+    Both full sums are 1.  With 1 - s = cosh^-2 r the tails are
+    A = s^(n_trunc+1) and B = A ((n_trunc+2) - (n_trunc+1) s).
+    """
     s = math.tanh(r) ** 2
-    if s == 0.0:
-        return 0.0
+    a = s ** (n_trunc + 1)
+    return s, a, a * ((n_trunc + 2) - (n_trunc + 1) * s)
+
+
+def _bosonic_trace_deficit(r: float, n_trunc: int) -> float:
+    """Analytic probability mass of the Bell resource beyond truncation, (A + B)/2."""
+    s, a, b = _bosonic_tails(r, n_trunc)
     c2 = math.cosh(r) ** 2
-    head = s ** (n_trunc + 1)
-    tail_geo = head / (1.0 - s)
-    tail_lin = head * ((n_trunc + 2) - (n_trunc + 1) * s) / (1.0 - s) ** 2
-    return tail_geo / (2.0 * c2) + tail_lin / (2.0 * c2 * c2)
+    # cosh^2 r (1 - s) = 1; the unsimplified form keeps the certificate's bits
+    return a / (1.0 - s) / (2.0 * c2) + b / (1.0 - s) ** 2 / (2.0 * c2 * c2)
 
 
 def _check_truncation(r: float, n_trunc: int, deficit: float, max_deficit: float) -> None:
@@ -179,6 +187,11 @@ def _check_bosonic_args(r: float, n_trunc: int) -> None:
         raise PhysicsDomainError(f"squeezing parameter must be >= 0, got {r}")
     if not 2 <= n_trunc <= MAX_TRUNC:
         raise PhysicsDomainError(f"truncation must be in [2, {MAX_TRUNC}], got {n_trunc}")
+
+
+def _check_fermionic_r(r: float) -> None:
+    if not 0.0 <= r <= math.pi / 4 + 1e-12:
+        raise PhysicsDomainError(f"fermionic squeezing must be in [0, pi/4], got {r}")
 
 
 def bell_state_bosonic(
@@ -230,8 +243,7 @@ def bell_block_bosonic(r: float, n: int) -> TruncatedDensityMatrix:
 
 def bell_state_fermionic(r: float) -> TruncatedDensityMatrix:
     """Fermionic Bell resource: exact 4x4 matrix in the basis {00, 01, 10, 11}."""
-    if not 0.0 <= r <= math.pi / 4 + 1e-12:
-        raise PhysicsDomainError(f"fermionic squeezing must be in [0, pi/4], got {r}")
+    _check_fermionic_r(r)
     cr = math.cos(r)
     basis = ((0, 0), (0, 1), (1, 0), (1, 1))
     entries = {
@@ -330,8 +342,10 @@ def blockwise_negativity_bosonic(
     from the full-spectrum value of negativity_numeric (see module docstring).
     The omitted blocks' negativity is bounded by the Bell resource's trace
     deficit at truncation n_blocks, so TruncationError is raised when that
-    deficit exceeds max_deficit.
+    deficit exceeds max_deficit.  r and n_blocks are checked as in
+    bell_state_bosonic, before any block is built.
     """
+    _check_bosonic_args(r, n_blocks)
     _check_truncation(r, n_blocks, _bosonic_trace_deficit(r, n_blocks), max_deficit)
     total = 0.0
     for n in range(n_blocks + 1):
@@ -342,28 +356,6 @@ def blockwise_negativity_bosonic(
 def blockwise_negative_eigenvalue(r: float, n: int) -> float:
     """Most negative eigenvalue of the isolated n-th PPT sector block."""
     return spectrum(partial_transpose(bell_block_bosonic(r, n)))[0]
-
-
-def _post_state_deficit(x: float, y: float, c0: list[float], c1: list[float]) -> float:
-    """1 - trace of the whole truncated post-state, over every sector.
-
-    The label (k1, k2) stores the square of its x amplitude, from the pair
-    (k1-1, k2), plus the square of its y amplitude, from the pair (k1, k2-1):
-    the one addition the pair-by-pair assembly makes, so each diagonal value
-    equals its stored one to the bit.  A missing amplitude is 0.0, whose
-    square adds exactly.
-    """
-    n = len(c0)  # n_trunc + 1 hidden-region occupations
-    diag = []
-    for k1 in range(n + 1):
-        xc = x * c1[k1 - 1] if k1 else 0.0
-        yc = y * c0[k1] if k1 < n else 0.0
-        amp_x = [xc * a for a in c0]  # k2 = 0 .. n_trunc
-        amp_x.append(0.0)
-        amp_y = [yc * a for a in c1]  # k2 = 1 .. n_trunc + 1
-        amp_y.insert(0, 0.0)
-        diag += [ax * ax + ay * ay for ax, ay in zip(amp_x, amp_y)]
-    return 1.0 - math.fsum(diag)
 
 
 def bob_post_state_bosonic(
@@ -383,13 +375,16 @@ def bob_post_state_bosonic(
     the sectors 1 .. 2 n_trunc + 1.  Only sector 1, where the dual-rail
     target x|1,0> + y|0,1> lives, is assembled: the pair (0, 0) on the basis
     ((0, 1), (1, 0)).  Its entries equal the whole state's entries of that
-    sector, in the same order and to the bit.  trace_deficit is still the
-    deficit of the whole truncated state.
+    sector, in the same order and to the bit.  trace_deficit is that of the
+    whole truncated state, 1 - (1 - A)(1 - B) = A + B - A B with the tails
+    A, B of _bosonic_tails.
     """
     _check_bosonic_args(r, n_trunc)
     x, y = qubit.conditional(*outcome)
-    c0, c1 = _squeeze_amplitudes(r, n_trunc)
-    deficit = _post_state_deficit(x, y, c0, c1)
+    c = math.cosh(r)
+    c0, c1 = 1.0 / c, 1.0 / (c * c)  # c0[0] and c1[0] of _squeeze_amplitudes, to the bit
+    _, a, b = _bosonic_tails(r, n_trunc)
+    deficit = a + b - a * b
     # Looser than the Bell-state gate: the dual-rail fidelity reads only the
     # n1 = n2 = 0 terms, which the truncation never removes.
     _check_truncation(r, n_trunc, deficit, 0.01)
@@ -397,8 +392,8 @@ def bob_post_state_bosonic(
     # The pair (0, 0) projects onto x c1[0] c0[0] |1, 0> + y c0[0] c1[0] |0, 1>;
     # its four entries are written in _add_projector's order.
     lx, ly = (1, 0), (0, 1)
-    amp_x = x * c1[0] * c0[0]
-    amp_y = y * c0[0] * c1[0]
+    amp_x = x * c1 * c0
+    amp_y = y * c0 * c1
     coherence = amp_x * amp_y
     entries = {
         (lx, lx): amp_x * amp_x,
@@ -417,8 +412,7 @@ def bob_post_state_fermionic(
     rho = cos^2 r |phi_ij><phi_ij| + sin^2 r |11><11| on the two dual-rail
     modes; Pauli blocking caps each occupation at 1.
     """
-    if not 0.0 <= r <= math.pi / 4 + 1e-12:
-        raise PhysicsDomainError(f"fermionic squeezing must be in [0, pi/4], got {r}")
+    _check_fermionic_r(r)
     x, y = qubit.conditional(*outcome)
     basis = ((0, 0), (0, 1), (1, 0), (1, 1))
     entries: dict = {}

@@ -122,26 +122,21 @@ def fermion_rows() -> list[tuple]:
                 "closed form vs 4x4 PPT spectrum",
             )
         )
-        worst = None
+        fidelities = []
         for phi, outcome in draws:
             qubit = fock_oracle.DualRailQubit(math.cos(phi), math.sin(phi))
             x, y = qubit.conditional(*outcome)
-            f_num = fock_oracle.fidelity_numeric(
-                fock_oracle.bob_post_state_fermionic(r, qubit, outcome),
-                fock_oracle.dual_rail_target(x, y),
+            fidelities.append(
+                fock_oracle.fidelity_numeric(
+                    fock_oracle.bob_post_state_fermionic(r, qubit, outcome),
+                    fock_oracle.dual_rail_target(x, y),
+                )
             )
-            if worst is None or abs(f_num - channels.fidelity_fermion(r)) > abs(
-                worst - channels.fidelity_fermion(r)
-            ):
-                worst = f_num
+        closed = channels.fidelity_fermion(r)
+        # max returns the first of equal maxima: the earliest worst draw
+        worst = max(fidelities, key=lambda f: abs(f - closed))
         rows.append(
-            _row(
-                "F_fermion",
-                point,
-                channels.fidelity_fermion(r),
-                worst,
-                f"worst case over {len(draws)} random qubits",
-            )
+            _row("F_fermion", point, closed, worst, f"worst case over {len(draws)} random qubits")
         )
     return rows
 
@@ -156,7 +151,7 @@ def fidelity_boson_rows(
     final verdict row names the closed form the construction matches.  The
     teleported qubit is (0.6, 0.8).  The oracle builds only sector 1 of the
     receiver's post-state, where the target x|1,0> + y|0,1> lives, and
-    certifies the truncation of the whole state.
+    certifies the truncation of the whole state analytically.
     """
     qubit = fock_oracle.DualRailQubit(0.6, 0.8)
     rows = []
@@ -191,8 +186,11 @@ def fidelity_boson_rows(
 
 
 def write_report_csv(rows: list[tuple], path: str) -> None:
-    """Write rows under the standard header; deterministic byte-for-byte."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write rows under the standard header; deterministic byte-for-byte.
+
+    Written in place as sweep CSVs are (sweep._rewritten), not truncated first.
+    """
+    with sweep._rewritten(path) as fh:
         fh.write(",".join(REPORT_HEADER) + "\n")
         for row in rows:
             fh.write(",".join(sweep.format_value(v) for v in row) + "\n")

@@ -16,6 +16,14 @@ def dense(rho):
     return out
 
 
+# How far the oracle's analytic post-state deficit, A + B - A B, may lie from
+# the reference's 1 - fsum(diagonal): the reference rounds each of its
+# (n_trunc + 2)^2 diagonal entries before the sum.  In 400 seeded draws (r in
+# [0, 2.5] or log-uniform in [1e-12, 1], n_trunc 2..60) the largest gap was
+# 19 * 2^-52.
+DEFICIT_SLACK = 64 * 2.0**-52
+
+
 def reference_post_state(r, qubit, outcome, n_trunc):
     """The whole bosonic post-state's entries and deficit, one projector per (n1, n2).
 

@@ -9,6 +9,7 @@ import math
 import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from bhent import channels, fock_oracle, kernels, modes
 from bhent.errors import PhysicsDomainError, TruncationError
-from helpers import reference_post_state, sector_items
+from helpers import DEFICIT_SLACK, reference_post_state, sector_items
 
 SERIES_LIMIT = math.log2(1.0 + math.sqrt(math.pi) / 2.0)
 # Rounding slack: at t = 1 - 2^-52 the exact E_N exceeds SERIES_LIMIT by
@@ -267,9 +268,10 @@ def test_blockwise_oracle_matches_series(tanh_r):
 # bob_post_state_bosonic builds the excitation sector k1 + k2 = 1 of the
 # post-state.  Its block must equal the whole state of the pair-by-pair
 # reference, filtered to that sector, in order and to the bit, and carry the
-# whole state's deficit.  Its two labels are joined by their coherence, so it
-# is one block wherever that is non-zero; the coherence is zero when x or y
-# is, or when it underflows at tiny r.
+# whole state's deficit, to within the reference's rounding.  Its two labels
+# are joined by their coherence, so it is one block wherever that is
+# non-zero; the coherence is zero when x or y is, or when it underflows at
+# tiny r.
 small_r = st.floats(min_value=-12.0, max_value=0.0).map(lambda e: 10.0**e)
 
 
@@ -292,12 +294,40 @@ def test_post_state_sector_matches_reference(r, n_trunc, phi, outcome):
     assert [(k, v.hex()) for k, v in post.entries.items()] == [
         (k, v.hex()) for k, v in sector_items(items, 1)
     ]
-    assert post.trace_deficit.hex() == deficit.hex()
+    assert abs(post.trace_deficit - deficit) <= DEFICIT_SLACK
     blocks = fock_oracle.connected_blocks(post)
     if post.entries.get(((1, 0), (0, 1)), 0.0):
         assert blocks == [list(post.basis)]
     else:
         assert len(blocks) <= 2
+
+
+# Both analytic truncation certificates against 50-digit mpmath.  With
+# s = tanh^2 r, the tails of the sums of c0[n]^2 and c1[n]^2 past n_trunc are
+# A = s^(n_trunc+1) and B = A ((n_trunc+2) - (n_trunc+1) s); the Bell resource
+# loses (A + B)/2 and the post-state 1 - (1 - A)(1 - B) = A + B - A B.  The
+# match is relative down to the smallest normal float, absolute below it.
+@seed(19)
+@settings(max_examples=300, deadline=2000, database=None)
+@given(
+    r=st.one_of(st.floats(min_value=0.0, max_value=3.0), small_r),
+    n_trunc=st.integers(min_value=2, max_value=fock_oracle.MAX_TRUNC),
+)
+def test_deficits_match_mpmath(r, n_trunc):
+    with mpmath.workdps(50):
+        s = mpmath.tanh(mpmath.mpf(r)) ** 2
+        a = s ** (n_trunc + 1)
+        b = a * ((n_trunc + 2) - (n_trunc + 1) * s)
+        bell, post = float((a + b) / 2), float(a + b - a * b)
+    close = dict(rel=1e-12, abs=sys.float_info.min)
+    assert fock_oracle._bosonic_trace_deficit(r, n_trunc) == pytest.approx(bell, **close)
+    qubit = fock_oracle.DualRailQubit(0.6, 0.8)
+    try:
+        got = fock_oracle.bob_post_state_bosonic(r, qubit, (0, 0), n_trunc).trace_deficit
+    except TruncationError:
+        assert post > 0.01 * (1.0 - 1e-12)
+    else:
+        assert got == pytest.approx(post, **close)
 
 
 # fock_oracle._fused_dot against its exact-rational reference form, bit for

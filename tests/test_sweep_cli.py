@@ -455,6 +455,20 @@ class TestExitCodes:
         assert err.startswith("error: truncation 40 too small") and "trace deficit" in err
         assert "MISMATCH" not in err
 
+    @pytest.mark.parametrize("trunc", ["0", "1", "100000"])
+    def test_oracle_trunc_out_of_range_exits_3(self, trunc, monkeypatch, capsys):
+        # refused before the blockwise negativity builds any block
+        built = []
+        block = fock_oracle.bell_block_bosonic
+        monkeypatch.setattr(
+            fock_oracle, "bell_block_bosonic", lambda r, n: built.append(n) or block(r, n)
+        )
+        rc = cli.main(["oracle-check", "--trunc", trunc, "--out", os.devnull])
+        assert rc == cli.EXIT_PHYSICS
+        assert built == []
+        err = capsys.readouterr().err
+        assert err == f"error: truncation must be in [2, {fock_oracle.MAX_TRUNC}], got {trunc}\n"
+
     def test_oracle_check_certified_at_high_squeezing(self, tmp_path):
         rc = cli.main(
             ["oracle-check", "--tanhr", "0.9", "--trunc", "140",
