@@ -20,10 +20,13 @@ whole state, in closed form: the trace is S0 S1, the product of the truncated
 sums of c0[n]^2 and c1[n]^2, so the deficit is 1 - S0 S1 = A + B - A B for
 their analytic tails A and B.  No certificate sums matrix entries.
 
-Two negativity pathways exist for the bosonic resource and they do NOT agree:
+Two negativity pathways exist for the bosonic resource and they do NOT agree.
+Both read the same block entries, written by one formula, _bell_block_entries;
+they differ only in whether the partial transpose acts on each sector block
+alone or on the direct sum of the blocks:
 
-- negativity_numeric(bell_state_bosonic(...)) diagonalises the fully
-  assembled partial transpose.  Neighbouring excitation sectors couple
+- negativity_numeric(bell_state_bosonic(...)) diagonalises the partial
+  transpose of the direct sum.  Neighbouring excitation sectors couple
   through shared basis states, and the resulting negativity decays to zero
   for large squeezing.
 - blockwise_negativity_bosonic(...) diagonalises each excitation sector as an
@@ -100,9 +103,6 @@ class TruncatedDensityMatrix:
     def dim(self) -> int:
         return len(self.basis)
 
-    def trace(self) -> float:
-        return _diagonal_sum(self.entries)
-
 
 class DualRailQubit:
     """Logical qubit alpha|0> + beta|1> in dual-rail encoding (real amplitudes)."""
@@ -129,49 +129,23 @@ class DualRailQubit:
             raise PhysicsDomainError(f"measurement outcome must be two bits, got {(i, j)}")
 
 
-def _diagonal_sum(entries: dict) -> float:
-    return math.fsum(v for (i, j), v in entries.items() if i == j)
+def _bosonic_tails(r: float, n_trunc: int) -> tuple[float, float]:
+    """Tails A, B of sum c0[n]^2 and sum c1[n]^2 past n_trunc.
 
-
-def _add_projector(entries: dict, weight: float, vec: list[tuple[Label, float]]) -> None:
-    """entries += weight |v><v| for v given as (label, amplitude) pairs."""
-    for li, ai in vec:
-        for lj, aj in vec:
-            key = (li, lj)
-            entries[key] = entries.get(key, 0.0) + weight * (ai * aj)
-
-
-def _squeeze_amplitudes(r: float, n_trunc: int) -> tuple[list[float], list[float]]:
-    """Expansion coefficients of the logical 0/1 states over region-II occupation n.
-
-    c0[n] = tanh^n r / cosh r           (|n>_I |n>_II)
-    c1[n] = tanh^n r sqrt(n+1)/cosh^2 r (|n+1>_I |n>_II)
-    """
-    t = math.tanh(r)
-    c = math.cosh(r)
-    base = [t**n for n in range(n_trunc + 1)]
-    c0 = [b / c for b in base]
-    c1 = [b * math.sqrt(n + 1) / (c * c) for n, b in enumerate(base)]
-    return c0, c1
-
-
-def _bosonic_tails(r: float, n_trunc: int) -> tuple[float, float, float]:
-    """s = tanh^2 r and the tails A, B of sum c0[n]^2 and sum c1[n]^2 past n_trunc.
-
-    Both full sums are 1.  With 1 - s = cosh^-2 r the tails are
+    c0[n] = tanh^n r / cosh r and c1[n] = tanh^n r sqrt(n+1) / cosh^2 r are
+    the amplitudes of the logical 0/1 states over hidden-region occupation n;
+    both full sums are 1.  With s = tanh^2 r = 1 - cosh^-2 r the tails are
     A = s^(n_trunc+1) and B = A ((n_trunc+2) - (n_trunc+1) s).
     """
     s = math.tanh(r) ** 2
     a = s ** (n_trunc + 1)
-    return s, a, a * ((n_trunc + 2) - (n_trunc + 1) * s)
+    return a, a * ((n_trunc + 2) - (n_trunc + 1) * s)
 
 
 def _bosonic_trace_deficit(r: float, n_trunc: int) -> float:
     """Analytic probability mass of the Bell resource beyond truncation, (A + B)/2."""
-    s, a, b = _bosonic_tails(r, n_trunc)
-    c2 = math.cosh(r) ** 2
-    # cosh^2 r (1 - s) = 1; the unsimplified form keeps the certificate's bits
-    return a / (1.0 - s) / (2.0 * c2) + b / (1.0 - s) ** 2 / (2.0 * c2 * c2)
+    a, b = _bosonic_tails(r, n_trunc)
+    return (a + b) / 2.0
 
 
 def _check_truncation(r: float, n_trunc: int, deficit: float, max_deficit: float) -> None:
@@ -183,8 +157,8 @@ def _check_truncation(r: float, n_trunc: int, deficit: float, max_deficit: float
 
 
 def _check_bosonic_args(r: float, n_trunc: int) -> None:
-    if r < 0:
-        raise PhysicsDomainError(f"squeezing parameter must be >= 0, got {r}")
+    if not (math.isfinite(r) and r >= 0):
+        raise PhysicsDomainError(f"squeezing parameter must be finite and >= 0, got {r}")
     if not 2 <= n_trunc <= MAX_TRUNC:
         raise PhysicsDomainError(f"truncation must be in [2, {MAX_TRUNC}], got {n_trunc}")
 
@@ -194,27 +168,45 @@ def _check_fermionic_r(r: float) -> None:
         raise PhysicsDomainError(f"fermionic squeezing must be in [0, pi/4], got {r}")
 
 
+def _bell_block_entries(r: float, n: int) -> dict:
+    """Entries of the excitation-sector-n block of the bosonic Bell resource.
+
+    Hidden-region occupation n contributes the rank-one projector on the
+    labels (0, n) and (1, n+1), with entries {1, sqrt(n+1)/cosh r,
+    (n+1)/cosh^2 r} times tanh^(2n) r / (2 cosh^2 r).  The only formula for
+    the resource's entries: the blocks and the assembled state both read it.
+    """
+    t = math.tanh(r)
+    c = math.cosh(r)
+    pref = t ** (2 * n) / (2.0 * c * c)
+    off = pref * (math.sqrt(n + 1) / c)
+    return {
+        ((0, n), (0, n)): pref,
+        ((0, n), (1, n + 1)): off,
+        ((1, n + 1), (0, n)): off,
+        ((1, n + 1), (1, n + 1)): pref * ((n + 1) / (c * c)),
+    }
+
+
 def bell_state_bosonic(
     r: float, n_trunc: int = DEFAULT_TRUNC, max_deficit: float = DEFAULT_MAX_DEFICIT
 ) -> TruncatedDensityMatrix:
     """Bosonic Bell resource after tracing the causally hidden region.
 
     Party A is a qubit, party B a Fock mode truncated at occupation
-    n_trunc + 1.  Each hidden-region occupation n contributes a rank-one
-    block with entries {1, sqrt(n+1)/cosh r, (n+1)/cosh^2 r} times
-    tanh^(2n) r / (2 cosh^2 r).  Raises TruncationError when the trace
+    n_trunc + 1.  The state is the direct sum of the sector blocks of
+    bell_block_bosonic for n = 0 .. n_trunc, with the same entry bits; no
+    two blocks share an entry.  Raises TruncationError when the trace
     deficit exceeds max_deficit.
     """
     _check_bosonic_args(r, n_trunc)
     deficit = _bosonic_trace_deficit(r, n_trunc)
     _check_truncation(r, n_trunc, deficit, max_deficit)
 
-    kmax = n_trunc + 1
-    basis = tuple((a, k) for a in (0, 1) for k in range(kmax + 1))
-    c0, c1 = _squeeze_amplitudes(r, n_trunc)
+    basis = tuple((a, k) for a in (0, 1) for k in range(n_trunc + 2))
     entries: dict = {}
     for n in range(n_trunc + 1):
-        _add_projector(entries, 0.5, [((0, n), c0[n]), ((1, n + 1), c1[n])])
+        entries.update(_bell_block_entries(r, n))
     return TruncatedDensityMatrix(basis, entries, deficit)
 
 
@@ -225,20 +217,10 @@ def bell_block_bosonic(r: float, n: int) -> TruncatedDensityMatrix:
     diagonal entries belonging to neighbouring sectors are absent by
     construction.  Unnormalised (its trace is the sector weight).
     """
-    if r < 0 or n < 0:
+    if not (math.isfinite(r) and r >= 0) or n < 0:
         raise PhysicsDomainError(f"invalid block parameters r={r}, n={n}")
-    t = math.tanh(r)
-    c = math.cosh(r)
-    pref = t ** (2 * n) / (2.0 * c * c)
     basis = ((0, n), (0, n + 1), (1, n), (1, n + 1))
-    off = pref * (math.sqrt(n + 1) / c)
-    entries = {
-        ((0, n), (0, n)): pref,
-        ((0, n), (1, n + 1)): off,
-        ((1, n + 1), (0, n)): off,
-        ((1, n + 1), (1, n + 1)): pref * ((n + 1) / (c * c)),
-    }
-    return TruncatedDensityMatrix(basis, entries, 0.0)
+    return TruncatedDensityMatrix(basis, _bell_block_entries(r, n), 0.0)
 
 
 def bell_state_fermionic(r: float) -> TruncatedDensityMatrix:
@@ -382,15 +364,15 @@ def bob_post_state_bosonic(
     _check_bosonic_args(r, n_trunc)
     x, y = qubit.conditional(*outcome)
     c = math.cosh(r)
-    c0, c1 = 1.0 / c, 1.0 / (c * c)  # c0[0] and c1[0] of _squeeze_amplitudes, to the bit
-    _, a, b = _bosonic_tails(r, n_trunc)
+    c0, c1 = 1.0 / c, 1.0 / (c * c)  # c0[0], c1[0] as _bosonic_tails defines them
+    a, b = _bosonic_tails(r, n_trunc)
     deficit = a + b - a * b
     # Looser than the Bell-state gate: the dual-rail fidelity reads only the
     # n1 = n2 = 0 terms, which the truncation never removes.
     _check_truncation(r, n_trunc, deficit, 0.01)
 
     # The pair (0, 0) projects onto x c1[0] c0[0] |1, 0> + y c0[0] c1[0] |0, 1>;
-    # its four entries are written in _add_projector's order.
+    # its four entries are written in the whole state's order, |1, 0> first.
     lx, ly = (1, 0), (0, 1)
     amp_x = x * c1 * c0
     amp_y = y * c0 * c1
@@ -415,9 +397,15 @@ def bob_post_state_fermionic(
     _check_fermionic_r(r)
     x, y = qubit.conditional(*outcome)
     basis = ((0, 0), (0, 1), (1, 0), (1, 1))
-    entries: dict = {}
-    _add_projector(entries, math.cos(r) ** 2, [((0, 1), y), ((1, 0), x)])
-    entries[((1, 1), (1, 1))] = math.sin(r) ** 2
+    w = math.cos(r) ** 2
+    coherence = w * (y * x)
+    entries = {
+        ((0, 1), (0, 1)): w * (y * y),
+        ((0, 1), (1, 0)): coherence,
+        ((1, 0), (0, 1)): coherence,
+        ((1, 0), (1, 0)): w * (x * x),
+        ((1, 1), (1, 1)): math.sin(r) ** 2,
+    }
     return TruncatedDensityMatrix(basis, entries, 0.0)
 
 

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 
-from bhent import fock_oracle
-
 
 def dense(rho):
     """The full matrix of a fock_oracle.TruncatedDensityMatrix, in basis order."""
@@ -32,7 +30,10 @@ def reference_post_state(r, qubit, outcome, n_trunc):
     Returns the stored (key, value) items, zeros dropped, and the deficit.
     """
     x, y = qubit.conditional(*outcome)
-    c0, c1 = fock_oracle._squeeze_amplitudes(r, n_trunc)
+    # c0[n] = tanh^n r / cosh r and c1[n] = tanh^n r sqrt(n+1) / cosh^2 r
+    t, c = math.tanh(r), math.cosh(r)
+    c0 = [t**n / c for n in range(n_trunc + 1)]
+    c1 = [t**n * math.sqrt(n + 1) / (c * c) for n in range(n_trunc + 1)]
     entries = {}
     for n1 in range(n_trunc + 1):
         for n2 in range(n_trunc + 1):

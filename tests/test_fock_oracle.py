@@ -22,7 +22,7 @@ class TestBellStateBosonic:
     @pytest.mark.parametrize("tanh_r", [0.0, 0.3, 0.7])
     def test_trace_plus_deficit_is_one(self, tanh_r):
         rho = fock_oracle.bell_state_bosonic(math.atanh(tanh_r), 40)
-        assert rho.trace() + rho.trace_deficit == pytest.approx(1.0, abs=1e-10)
+        assert np.trace(dense(rho)) + rho.trace_deficit == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_squeezing_is_bell_projector(self):
         rho = fock_oracle.bell_state_bosonic(0.0, 4)
@@ -31,15 +31,16 @@ class TestBellStateBosonic:
         assert entries[((0, 0), (0, 0))] == pytest.approx(0.5, abs=1e-15)
         assert entries[((1, 1), (1, 1))] == pytest.approx(0.5, abs=1e-15)
         assert entries[((0, 0), (1, 1))] == pytest.approx(0.5, abs=1e-15)
-        assert rho.trace() == pytest.approx(1.0, abs=1e-15)
+        assert np.trace(dense(rho)) == pytest.approx(1.0, abs=1e-15)
 
     def test_truncation_error_surfaces(self):
         with pytest.raises(TruncationError):
             fock_oracle.bell_state_bosonic(math.atanh(0.9), 3)
 
     def test_domain(self):
-        with pytest.raises(PhysicsDomainError):
-            fock_oracle.bell_state_bosonic(-0.1, 40)
+        for r in (-0.1, math.nan, math.inf):
+            with pytest.raises(PhysicsDomainError, match="finite and >= 0"):
+                fock_oracle.bell_state_bosonic(r, 40)
         with pytest.raises(PhysicsDomainError):
             fock_oracle.bell_state_bosonic(0.1, 1)
 
@@ -84,13 +85,22 @@ class TestBlockwiseOracle:
         series = channels.log_negativity_boson(r, 1e-12).value
         assert numeric == pytest.approx(series, abs=1e-8)
 
+    @pytest.mark.parametrize("r", [-0.1, math.nan, math.inf])
+    def test_domain(self, r):
+        with pytest.raises(PhysicsDomainError, match="invalid block parameters"):
+            fock_oracle.bell_block_bosonic(r, 0)
+        with pytest.raises(PhysicsDomainError, match="invalid block parameters"):
+            fock_oracle.blockwise_negative_eigenvalue(r, 0)
+        with pytest.raises(PhysicsDomainError, match="finite and >= 0"):
+            fock_oracle.blockwise_negativity_bosonic(r, 40)
+
     def test_block_weight(self):
         # trace of block n is the sector weight t^{2n}(1 + (n+1)/cosh^2 r)/(2 cosh^2 r)
         r, n = 0.6, 2
         t, c = math.tanh(r), math.cosh(r)
         block = fock_oracle.bell_block_bosonic(r, n)
         expected = t ** (2 * n) / (2 * c * c) * (1.0 + (n + 1) / (c * c))
-        assert block.trace() == pytest.approx(expected, rel=1e-13)
+        assert np.trace(dense(block)) == pytest.approx(expected, rel=1e-13)
 
     def test_full_spectrum_differs_from_blockwise(self):
         # the assembled matrix couples neighbouring sectors; at tanh r = 0.5
@@ -137,6 +147,12 @@ class TestFermionicOracle:
 
 
 class TestBosonicTeleportation:
+    @pytest.mark.parametrize("r", [-0.1, math.nan, math.inf])
+    def test_domain(self, r):
+        qubit = fock_oracle.DualRailQubit(0.6, 0.8)
+        with pytest.raises(PhysicsDomainError, match="finite and >= 0"):
+            fock_oracle.bob_post_state_bosonic(r, qubit, (0, 0), 40)
+
     def test_fidelity_independent_of_outcome(self):
         qubit = fock_oracle.DualRailQubit(0.6, 0.8)
         r = 0.4
@@ -295,15 +311,20 @@ class TestTruncationCertificate:
 
     R = math.atanh(0.9)  # trace deficit 8.7e-4 at truncation 40
 
+    # tanh r rounds to 1 from r ~ 19.1 on; the deficit there reads 1
+    FAR = 20.0
+
     def test_bell_state_refuses_deficit_above_tolerance(self):
-        with pytest.raises(TruncationError, match="trace deficit"):
-            fock_oracle.bell_state_bosonic(self.R, 40)
+        for r in (self.R, self.FAR):
+            with pytest.raises(TruncationError, match="trace deficit"):
+                fock_oracle.bell_state_bosonic(r, 40)
         rho = fock_oracle.bell_state_bosonic(self.R, 40, max_deficit=1e-3)
         assert rho.trace_deficit == pytest.approx(8.66e-4, rel=1e-3)
 
     def test_blockwise_refuses_deficit_above_tolerance(self):
-        with pytest.raises(TruncationError, match="trace deficit"):
-            fock_oracle.blockwise_negativity_bosonic(self.R, 40)
+        for r in (self.R, self.FAR):
+            with pytest.raises(TruncationError, match="trace deficit"):
+                fock_oracle.blockwise_negativity_bosonic(r, 40)
         fock_oracle.blockwise_negativity_bosonic(self.R, 40, max_deficit=1e-3)
 
     @pytest.mark.parametrize("n_trunc", [40, 80, 200])
