@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 
 from bhent import geometry, modes
-from bhent.errors import ContractViolationError, PhysicsDomainError
+from bhent.errors import ContractViolationError, PhysicsDomainError, check_integer
 
 DEFAULT_SERIES_TOL = 1e-10
 # Smallest accepted series tolerance; _ZETA_NEG_HALF is sized to certify it.
@@ -90,13 +90,9 @@ class NegativityResult:
 
 
 def neg_eigenvalue_boson(r: float, n: int) -> float:
-    """n-th negative partial-transpose block eigenvalue of the bosonic channel.
-
-    n must be a non-negative integer; an integral float such as 2.0 is accepted.
-    """
-    _check_boson_r(r)
-    if not (math.isfinite(n) and n >= 0 and n == int(n)):
-        raise PhysicsDomainError(f"block index must be a finite integer >= 0, got {n}")
+    """n-th negative partial-transpose block eigenvalue of the bosonic channel, n >= 0."""
+    modes.check_boson_r(r)
+    n = check_integer("block index", n, 0)
     t = math.tanh(r)
     one_minus = 1.0 - t * t  # sech^2 r
     return -(t ** (2 * n)) * math.sqrt(n + 1) * one_minus**1.5 / 2.0
@@ -110,7 +106,7 @@ def log_negativity_boson(r: float, tol: float = DEFAULT_SERIES_TOL) -> Negativit
     tail_bound / ln 2 of the exact one up to rounding.  tol must lie in
     [MIN_SERIES_TOL, 1e-3].
     """
-    _check_boson_r(r)
+    modes.check_boson_r(r)
     check_series_tol(tol)
     t = math.tanh(r) ** 2
     if t >= 1.0:
@@ -170,7 +166,7 @@ def _li_half_over_t(t: float, tol: float) -> tuple[float, int, float]:
 
 def log_negativity_fermion(r: float) -> float:
     """E_N = log2(1 + cos^2 r), r in [0, pi/4]."""
-    _check_fermion_r(r)
+    modes.check_fermion_r(r)
     return math.log2(1.0 + math.cos(r) ** 2)
 
 
@@ -193,7 +189,7 @@ def fidelity_fermion(r: float | modes.SqueezingParams) -> float:
         e = math.exp(-r.x)
         cos_r = 1.0 / math.sqrt(1.0 + e * e)
         return cos_r * cos_r
-    _check_fermion_r(r)
+    modes.check_fermion_r(r)
     return math.cos(r) ** 2
 
 
@@ -224,16 +220,6 @@ def check_series_tol(tol: float) -> None:
         raise PhysicsDomainError(
             f"series tolerance must be in [{MIN_SERIES_TOL:g}, 1e-3], got {tol}"
         )
-
-
-def _check_boson_r(r: float) -> None:
-    if not (math.isfinite(r) and r >= 0):
-        raise PhysicsDomainError(f"squeezing parameter must be finite and >= 0, got {r}")
-
-
-def _check_fermion_r(r: float) -> None:
-    if not 0.0 <= r <= math.pi / 4 + 1e-12:
-        raise PhysicsDomainError(f"fermionic squeezing parameter must be in [0, pi/4], got {r}")
 
 
 class MiniBHBounds:
@@ -277,7 +263,8 @@ def minibh_bounds(
     iteration order.
     """
     lo, hi = omega_rh_range
-    if not (0 < lo < hi) or omega_points < 2 or not n_values or not a_star_values:
+    omega_points = check_integer("omega grid size", omega_points, 2)
+    if not (0 < lo < hi) or not n_values or not a_star_values:
         raise PhysicsDomainError("empty or invalid mini-black-hole sweep grid")
     omegas = [lo + (hi - lo) * i / (omega_points - 1) for i in range(omega_points)]
 

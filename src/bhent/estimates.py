@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from bhent.errors import PhysicsDomainError
+from bhent.errors import PhysicsDomainError, check_non_negative, check_positive
 
 
 # CODATA-2018 values, SI units.
@@ -35,30 +35,27 @@ class CavitySpec:
     __slots__ = ("wall_thickness", "volume")
 
     def __init__(self, wall_thickness: float = 1.0, volume: float = 1.0) -> None:
-        if wall_thickness <= 0 or volume <= 0:
-            raise PhysicsDomainError("cavity dimensions must be positive")
+        check_positive("cavity wall thickness", wall_thickness)
+        check_positive("cavity volume", volume)
         self.wall_thickness = wall_thickness
         self.volume = volume
 
 
 def radiation_density(temperature: float) -> float:
     """Thermal radiation energy density rho = alpha T^4 in J/m^3."""
-    if temperature < 0:
-        raise PhysicsDomainError(f"temperature must be non-negative, got {temperature}")
+    check_non_negative("temperature", temperature)
     return STEFAN_ALPHA * temperature**4
 
 
 def hawking_temperature_si(mass_kg: float) -> float:
     """Hawking temperature T = hbar c^3 / (8 pi G M k_B) in kelvin."""
-    if mass_kg <= 0:
-        raise PhysicsDomainError(f"mass must be positive, got {mass_kg}")
+    check_positive("mass", mass_kg)
     return HBAR * C**3 / (8.0 * math.pi * G_NEWTON * mass_kg * K_B)
 
 
 def acceleration_surface_gravity(t_bh: float) -> float:
     """kappa = 2 pi c k_B T_bh / hbar, in m/s^2."""
-    if t_bh <= 0:
-        raise PhysicsDomainError(f"temperature must be positive, got {t_bh}")
+    check_positive("temperature", t_bh)
     return 2.0 * math.pi * C * K_B * t_bh / HBAR
 
 

@@ -42,8 +42,9 @@ from __future__ import annotations
 
 import math
 
-from bhent.errors import ContractViolationError, PhysicsDomainError, TruncationError
+from bhent.errors import ContractViolationError, PhysicsDomainError, TruncationError, check_integer
 from bhent.kernels import jacobi_eigh
+from bhent.modes import check_boson_r, check_fermion_r
 
 DEFAULT_TRUNC = 40
 MAX_TRUNC = 200
@@ -110,7 +111,7 @@ class DualRailQubit:
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: float, beta: float) -> None:
-        if abs(alpha**2 + beta**2 - 1.0) > 1e-12:
+        if not abs(alpha**2 + beta**2 - 1.0) <= 1e-12:
             raise PhysicsDomainError(f"qubit amplitudes not normalised: {alpha}, {beta}")
         self.alpha = alpha
         self.beta = beta
@@ -149,23 +150,17 @@ def _bosonic_trace_deficit(r: float, n_trunc: int) -> float:
 
 
 def _check_truncation(r: float, n_trunc: int, deficit: float, max_deficit: float) -> None:
-    if deficit > max_deficit:
+    if not deficit <= max_deficit:
         raise TruncationError(
             f"truncation {n_trunc} too small for r={r}: trace deficit {deficit:.3g}"
             f" exceeds {max_deficit:.3g}"
         )
 
 
-def _check_bosonic_args(r: float, n_trunc: int) -> None:
-    if not (math.isfinite(r) and r >= 0):
-        raise PhysicsDomainError(f"squeezing parameter must be finite and >= 0, got {r}")
-    if not 2 <= n_trunc <= MAX_TRUNC:
-        raise PhysicsDomainError(f"truncation must be in [2, {MAX_TRUNC}], got {n_trunc}")
-
-
-def _check_fermionic_r(r: float) -> None:
-    if not 0.0 <= r <= math.pi / 4 + 1e-12:
-        raise PhysicsDomainError(f"fermionic squeezing must be in [0, pi/4], got {r}")
+def _check_bosonic_args(r: float, n_trunc: int) -> int:
+    """int(n_trunc), once r is a bosonic squeezing and n_trunc a truncation in [2, MAX_TRUNC]."""
+    check_boson_r(r)
+    return check_integer("truncation", n_trunc, 2, MAX_TRUNC)
 
 
 def _bell_block_entries(r: float, n: int) -> dict:
@@ -199,7 +194,7 @@ def bell_state_bosonic(
     two blocks share an entry.  Raises TruncationError when the trace
     deficit exceeds max_deficit.
     """
-    _check_bosonic_args(r, n_trunc)
+    n_trunc = _check_bosonic_args(r, n_trunc)
     deficit = _bosonic_trace_deficit(r, n_trunc)
     _check_truncation(r, n_trunc, deficit, max_deficit)
 
@@ -217,15 +212,15 @@ def bell_block_bosonic(r: float, n: int) -> TruncatedDensityMatrix:
     diagonal entries belonging to neighbouring sectors are absent by
     construction.  Unnormalised (its trace is the sector weight).
     """
-    if not (math.isfinite(r) and r >= 0) or n < 0:
-        raise PhysicsDomainError(f"invalid block parameters r={r}, n={n}")
+    check_boson_r(r)
+    n = check_integer("block index", n, 0)
     basis = ((0, n), (0, n + 1), (1, n), (1, n + 1))
     return TruncatedDensityMatrix(basis, _bell_block_entries(r, n), 0.0)
 
 
 def bell_state_fermionic(r: float) -> TruncatedDensityMatrix:
     """Fermionic Bell resource: exact 4x4 matrix in the basis {00, 01, 10, 11}."""
-    _check_fermionic_r(r)
+    check_fermion_r(r)
     cr = math.cos(r)
     basis = ((0, 0), (0, 1), (1, 0), (1, 1))
     entries = {
@@ -327,7 +322,7 @@ def blockwise_negativity_bosonic(
     deficit exceeds max_deficit.  r and n_blocks are checked as in
     bell_state_bosonic, before any block is built.
     """
-    _check_bosonic_args(r, n_blocks)
+    n_blocks = _check_bosonic_args(r, n_blocks)
     _check_truncation(r, n_blocks, _bosonic_trace_deficit(r, n_blocks), max_deficit)
     total = 0.0
     for n in range(n_blocks + 1):
@@ -361,7 +356,7 @@ def bob_post_state_bosonic(
     whole truncated state, 1 - (1 - A)(1 - B) = A + B - A B with the tails
     A, B of _bosonic_tails.
     """
-    _check_bosonic_args(r, n_trunc)
+    n_trunc = _check_bosonic_args(r, n_trunc)
     x, y = qubit.conditional(*outcome)
     c = math.cosh(r)
     c0, c1 = 1.0 / c, 1.0 / (c * c)  # c0[0], c1[0] as _bosonic_tails defines them
@@ -394,7 +389,7 @@ def bob_post_state_fermionic(
     rho = cos^2 r |phi_ij><phi_ij| + sin^2 r |11><11| on the two dual-rail
     modes; Pauli blocking caps each occupation at 1.
     """
-    _check_fermionic_r(r)
+    check_fermion_r(r)
     x, y = qubit.conditional(*outcome)
     basis = ((0, 0), (0, 1), (1, 0), (1, 1))
     w = math.cos(r) ** 2
@@ -438,8 +433,8 @@ def fidelity_numeric(rho: TruncatedDensityMatrix, target: dict[Label, float]) ->
             raise PhysicsDomainError(f"target label {lbl} not in the state's basis")
     labels = sorted(target, key=rho.basis.index)
     vec = [float(target[lbl]) for lbl in labels]
-    norm = _fused_dot(vec, vec)
-    if abs(norm - 1.0) > 1e-12:
+    norm = math.fsum(v * v for v in vec)
+    if not abs(norm - 1.0) <= 1e-12:
         raise PhysicsDomainError(f"target state not normalised: |psi|^2 = {norm}")
     columns = [[rho.entries.get((i, j), 0.0) for i in labels] for j in labels]
     return _fused_dot([_fused_dot(vec, col) for col in columns], vec)

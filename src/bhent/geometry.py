@@ -23,6 +23,7 @@ import cmath
 import math
 
 from bhent.errors import ContractViolationError, NakedSingularityError, PhysicsDomainError
+from bhent.errors import check_integer, check_non_negative, check_positive
 
 # 1 TeV^-1 expressed in metres (hbar*c = 1 convention).
 TEV_INV_TO_M = 1.9733e-19
@@ -37,8 +38,7 @@ def gamma_half(twice_x: int) -> float:
     arguments ever occur in unit-sphere volumes, so no general special-function
     machinery is needed.
     """
-    if twice_x < 1:
-        raise PhysicsDomainError(f"gamma_half requires twice_x >= 1, got {twice_x}")
+    twice_x = check_integer("gamma_half argument twice_x", twice_x, 1)
     if twice_x % 2 == 0:
         out = 1.0
         for k in range(1, twice_x // 2):
@@ -56,21 +56,19 @@ def gamma_half(twice_x: int) -> float:
 
 def sphere_volume(k: int) -> float:
     """Volume (surface measure) of the unit k-sphere: 2 pi^((k+1)/2) / Gamma((k+1)/2)."""
-    if k < 1:
-        raise PhysicsDomainError(f"sphere dimension must be >= 1, got {k}")
+    k = check_integer("sphere dimension", k, 1)
     return 2.0 * math.pi ** ((k + 1) / 2) / gamma_half(k + 1)
 
 
-def _check_static(d: int, r_h: float) -> None:
-    if d < 4:
-        raise PhysicsDomainError(f"spacetime dimension must be >= 4, got {d}")
-    if r_h <= 0:
-        raise PhysicsDomainError(f"horizon radius must be positive, got {r_h}")
+def _check_static(d: int, r_h: float) -> int:
+    d = check_integer("spacetime dimension", d, 4)
+    check_positive("horizon radius", r_h)
+    return d
 
 
 def mass_from_horizon(d: int, r_h: float) -> float:
     """Mass of the static d-dimensional hole, M = (d-2) r_h^(d-3) Omega_{d-2} / (16 pi)."""
-    _check_static(d, r_h)
+    d = _check_static(d, r_h)
     mass = (d - 2) * r_h ** (d - 3) * sphere_volume(d - 2) / (16.0 * math.pi)
     if mass == 0.0:  # r_h^(d-3) underflowed; the hole would read M = 0
         raise PhysicsDomainError(f"mass underflows to 0 for d={d}, r_h={r_h}")
@@ -81,31 +79,27 @@ def mass_from_horizon(d: int, r_h: float) -> float:
 
 def horizon_from_mass(d: int, mass: float) -> float:
     """Inverse of mass_from_horizon: r_h = [16 pi M / ((d-2) Omega_{d-2})]^(1/(d-3))."""
-    if d < 4:
-        raise PhysicsDomainError(f"spacetime dimension must be >= 4, got {d}")
-    if mass <= 0:
-        raise PhysicsDomainError(f"mass must be positive, got {mass}")
+    d = check_integer("spacetime dimension", d, 4)
+    check_positive("mass", mass)
     return (16.0 * math.pi * mass / ((d - 2) * sphere_volume(d - 2))) ** (1.0 / (d - 3))
 
 
 def lapse(d: int, r_h: float, r: float) -> float:
     """f(r) = 1 - (r_h/r)^(d-3)."""
-    _check_static(d, r_h)
-    if r <= 0:
-        raise PhysicsDomainError(f"radius must be positive, got {r}")
+    d = _check_static(d, r_h)
+    check_positive("radius", r)
     return 1.0 - (r_h / r) ** (d - 3)
 
 
 def surface_gravity_schw(d: int, r_h: float) -> float:
     """kappa = (d-3)/(2 r_h)."""
-    _check_static(d, r_h)
+    d = _check_static(d, r_h)
     return (d - 3) / (2.0 * r_h)
 
 
 def hawking_temperature(kappa: float) -> float:
     """T = kappa / (2 pi); the inverse temperature is beta = 2 pi / kappa."""
-    if kappa <= 0:
-        raise PhysicsDomainError(f"surface gravity must be positive, got {kappa}")
+    check_positive("surface gravity", kappa)
     return kappa / (2.0 * math.pi)
 
 
@@ -122,7 +116,8 @@ def tortoise(d: int, r_h: float, r: float) -> float:
     in conjugate root pairs; the cancellation is checked before discarding
     them.  The integration constant is whatever this closed form fixes.
     """
-    _check_static(d, r_h)
+    d = _check_static(d, r_h)
+    check_positive("radius", r)
     if r <= r_h:
         raise PhysicsDomainError(f"tortoise coordinate needs r > r_h, got r={r}, r_h={r_h}")
     m = d - 3
@@ -245,14 +240,9 @@ def rotating_horizon(n: int, mu: float, a: float) -> float:
     Raises NakedSingularityError when no positive root exists (n = 0 with
     4a^2 > mu^2, n = 1 with a^2 >= mu).  For n >= 2 a horizon always exists.
     """
-    if n < 0:
-        raise PhysicsDomainError(f"extra dimensions must be >= 0, got {n}")
-    if not (math.isfinite(mu) and math.isfinite(a)):
-        raise PhysicsDomainError(f"mass and spin parameters must be finite, got mu={mu}, a={a}")
-    if mu <= 0:
-        raise PhysicsDomainError(f"mass parameter must be positive, got {mu}")
-    if a < 0:
-        raise PhysicsDomainError(f"spin parameter must be non-negative, got {a}")
+    n = check_integer("extra dimensions", n, 0)
+    check_positive("mass parameter", mu)
+    check_non_negative("spin parameter", a)
 
     scale = max(mu ** (1.0 / (n + 1)), a, 1e-30)
     if n == 0:
@@ -294,12 +284,13 @@ def rotating_kappa_omega(n: int, r_h: float, a_star: float) -> tuple[float, floa
 
     kappa = [(n+1) + (n-1) a_*^2] / (2 (1+a_*^2) r_h),  Omega = a_* / ((1+a_*^2) r_h).
     """
-    if r_h <= 0:
-        raise PhysicsDomainError(f"horizon radius must be positive, got {r_h}")
-    if a_star < 0:
-        raise PhysicsDomainError(f"a_* must be non-negative, got {a_star}")
-    if n < 0:
-        raise PhysicsDomainError(f"extra dimensions must be >= 0, got {n}")
+    check_positive("horizon radius", r_h)
+    check_non_negative("a_*", a_star)
+    n = check_integer("extra dimensions", n, 0)
+    if a_star > 1.0:  # divided through by a_*^2, whose overflow would leave inf/inf
+        b = 1.0 / a_star
+        denom = (b * b + 1.0) * r_h
+        return ((n + 1) * b * b + (n - 1)) / (2.0 * denom), b / denom
     denom = 2.0 * (1.0 + a_star * a_star) * r_h
     kappa = ((n + 1) + (n - 1) * a_star * a_star) / denom
     omega = a_star / ((1.0 + a_star * a_star) * r_h)
@@ -308,10 +299,9 @@ def rotating_kappa_omega(n: int, r_h: float, a_star: float) -> tuple[float, floa
 
 def rotating_mass_angmom(n: int, mu: float, a: float) -> tuple[float, float]:
     """(M, J) of the rotating hole: M = (n+2) A_{n+2} mu / (16 pi), J = 2 a M/(n+2)."""
-    if mu <= 0:
-        raise PhysicsDomainError(f"mass parameter must be positive, got {mu}")
-    if a < 0:
-        raise PhysicsDomainError(f"spin parameter must be non-negative, got {a}")
+    n = check_integer("extra dimensions", n, 0)
+    check_positive("mass parameter", mu)
+    check_non_negative("spin parameter", a)
     mass = (n + 2) * sphere_volume(n + 2) * mu / (16.0 * math.pi)
     if not math.isfinite(mass):  # J would then read inf, or nan as 0 * inf at a = 0
         raise PhysicsDomainError(f"mass overflows for n={n}, mu={mu}")
@@ -337,10 +327,9 @@ class RotatingBH:
     @classmethod
     def from_a_star(cls, n: int, mu: float, a_star: float) -> "RotatingBH":
         """Construct from (n, mu, a_*) via r_h = [mu/(1+a_*^2)]^(1/(n+1))."""
-        if a_star < 0:
-            raise PhysicsDomainError(f"a_* must be non-negative, got {a_star}")
-        if mu <= 0:
-            raise PhysicsDomainError(f"mass parameter must be positive, got {mu}")
+        n = check_integer("extra dimensions", n, 0)
+        check_non_negative("a_*", a_star)
+        check_positive("mass parameter", mu)
         r_h = (mu / (1.0 + a_star * a_star)) ** (1.0 / (n + 1))
         return cls(n, mu, a_star * r_h)
 
@@ -357,22 +346,18 @@ def tev_scales(n: int, m_star_tev: float, m_bh_tev: float) -> dict[str, float]:
     """TeV-gravity length scales for n extra dimensions, in metres.
 
     Masses are in TeV.  The size R of the extra dimensions follows from
-    M_pl^2 = R^n M_*^(n+2); the (4+n)-dimensional horizon radius from the
-    static mass formula with G_{4+n} = M_*^-(n+2).  ratio_4_over_4n estimates
-    r_h(4)/r_h(4+n) as (r_h(4+n)/R)^n; ratio_direct divides the two radii.
+    M_pl^2 = R^n M_*^(n+2); the (4+n)-dimensional horizon radius is
+    horizon_from_mass at the mass G_{4+n} M, with G_{4+n} = M_*^-(n+2).
+    ratio_4_over_4n estimates r_h(4)/r_h(4+n) as (r_h(4+n)/R)^n; ratio_direct
+    divides the two radii.
     """
-    if n < 1:
-        raise PhysicsDomainError(f"TeV scales need n >= 1, got {n}")
-    if m_star_tev <= 0 or m_bh_tev <= 0:
-        raise PhysicsDomainError("masses must be positive")
+    n = check_integer("extra dimensions", n, 1)
+    check_positive("fundamental scale M_*", m_star_tev)
+    check_positive("black hole mass", m_bh_tev)
     size_nat = (M_PLANCK_TEV / m_star_tev) ** (2.0 / n) / m_star_tev
     size = size_nat * TEV_INV_TO_M
-    d = 4 + n
     g_d = m_star_tev ** (-(n + 2))
-    r_nat = (16.0 * math.pi * g_d * m_bh_tev / ((d - 2) * sphere_volume(d - 2))) ** (
-        1.0 / (d - 3)
-    )
-    horizon_4n = r_nat * TEV_INV_TO_M
+    horizon_4n = horizon_from_mass(4 + n, g_d * m_bh_tev) * TEV_INV_TO_M
     horizon_4 = 2.0 * m_bh_tev / M_PLANCK_TEV**2 * TEV_INV_TO_M
     return {
         "R": size,

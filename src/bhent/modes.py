@@ -10,6 +10,7 @@ the single dimensionless combination x = pi*(omega - m*Omega)/kappa:
 Thermal occupations are N^2 = 1/(exp(2x) -+ 1).  Everything is computed in
 log-space (expm1/log1p) so the extreme regimes x in [1e-6, 1e3] stay accurate
 and x beyond ~700 degrades to the exact limits instead of overflowing.
+check_boson_r and check_fermion_r state the domain of r for every module.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 import sys
 
 from bhent.errors import PhysicsDomainError, SuperradiantModeError
+from bhent.errors import check_integer, check_non_negative, check_positive
 
 BOSON = "boson"
 FERMION = "fermion"
@@ -32,10 +34,8 @@ class ModeSpec:
     __slots__ = ("omega", "m", "statistics")
 
     def __init__(self, omega: float, m: int = 0, statistics: str = BOSON) -> None:
-        if not (math.isfinite(omega) and omega > 0):
-            raise PhysicsDomainError(f"mode frequency must be finite and positive, got {omega}")
-        if not math.isfinite(m):
-            raise PhysicsDomainError(f"azimuthal number must be finite, got {m}")
+        check_positive("mode frequency", omega)
+        m = check_integer("azimuthal number", m, -math.inf)
         if statistics not in (BOSON, FERMION):
             raise PhysicsDomainError(f"unknown statistics {statistics!r}")
         self.omega = omega
@@ -45,12 +45,25 @@ class ModeSpec:
 
 def effective_frequency(mode: ModeSpec, omega_h: float) -> float:
     """Co-rotating frequency omega - m*Omega; rejects superradiant modes."""
+    if not math.isfinite(omega_h):
+        raise PhysicsDomainError(f"horizon angular velocity must be finite, got {omega_h}")
     eff = mode.omega - mode.m * omega_h
     if eff <= 0:
         raise SuperradiantModeError(
             f"superradiant mode: omega={mode.omega}, m={mode.m}, Omega={omega_h}"
         )
     return eff
+
+
+def check_boson_r(r: float) -> None:
+    """Refuse a bosonic squeezing parameter unless it is finite and >= 0."""
+    check_non_negative("squeezing parameter", r)
+
+
+def check_fermion_r(r: float) -> None:
+    """Refuse a fermionic squeezing parameter outside [0, pi/4] (or nan)."""
+    if not 0.0 <= r <= math.pi / 4 + 1e-12:
+        raise PhysicsDomainError(f"fermionic squeezing parameter must be in [0, pi/4], got {r}")
 
 
 class SqueezingParams:
@@ -74,12 +87,8 @@ def _check_ratio(omega_eff: float, kappa: float) -> float:
     x must also be a normal float: below sys.float_info.min, 1/expm1(2x)
     overflows to inf, and at x = 0 log(-expm1(-x)) fails.
     """
-    if not (math.isfinite(omega_eff) and omega_eff > 0):
-        raise PhysicsDomainError(
-            f"effective frequency must be finite and positive, got {omega_eff}"
-        )
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise PhysicsDomainError(f"surface gravity must be finite and positive, got {kappa}")
+    check_positive("effective frequency", omega_eff)
+    check_positive("surface gravity", kappa)
     x = math.pi * omega_eff / kappa
     if x < sys.float_info.min:
         raise PhysicsDomainError(

@@ -119,9 +119,11 @@ class TestNonFiniteInputs:
             lambda: channels.neg_eigenvalue_boson(0.5, math.inf),
             lambda: channels.fidelity_boson(modes.squeeze_boson(math.nan, 1.0)),
             lambda: channels.fidelity_boson(modes.squeeze_boson(1.0, math.inf)),
+            lambda: channels.mode_point(1.0, 0.5, modes.BOSON, 1.0, 0.0, 1e-10),
+            lambda: channels.minibh_bounds(modes.BOSON, omega_points=math.nan),
         ],
         ids=["E_N-r-nan", "E_N-r-inf", "lambda-r-nan", "lambda-n-inf", "F-omega-nan",
-             "F-kappa-inf"],
+             "F-kappa-inf", "mode-m-half", "minibh-points-nan"],
     )
     def test_rejected_at_entry(self, call):
         with pytest.raises(PhysicsDomainError, match="finite"):

@@ -25,8 +25,9 @@ class TestRadiationDensity:
         )
 
     def test_domain(self):
-        with pytest.raises(PhysicsDomainError):
-            estimates.radiation_density(-1.0)
+        for temperature in (-1.0, math.nan, math.inf):
+            with pytest.raises(PhysicsDomainError):
+                estimates.radiation_density(temperature)
 
 
 class TestHawkingTemperature:
@@ -49,6 +50,11 @@ class TestHawkingTemperature:
         rebuilt = (e.HBAR * e.C**3) / (8.0 * math.pi * e.G_NEWTON * mass * e.K_B)
         assert estimates.hawking_temperature_si(mass) == rebuilt
 
+    @pytest.mark.parametrize("mass", [math.nan, math.inf])
+    def test_domain(self, mass):
+        with pytest.raises(PhysicsDomainError, match="finite"):
+            estimates.hawking_temperature_si(mass)
+
 
 class TestSurfaceGravity:
     def test_value(self):
@@ -57,6 +63,11 @@ class TestSurfaceGravity:
         expected = 2.0 * math.pi * estimates.C * estimates.K_B * 1e-8 / estimates.HBAR
         assert kappa == expected
         assert kappa == pytest.approx(2.47e12, rel=0.01)
+
+    @pytest.mark.parametrize("t_bh", [math.nan, math.inf])
+    def test_domain(self, t_bh):
+        with pytest.raises(PhysicsDomainError, match="finite"):
+            estimates.acceleration_surface_gravity(t_bh)
 
 
 class TestCouplingTime:
@@ -94,3 +105,6 @@ class TestCouplingTime:
             estimates.CavitySpec(0.0, 1.0)
         with pytest.raises(PhysicsDomainError):
             estimates.CavitySpec(1.0, -2.0)
+        for dims in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)):
+            with pytest.raises(PhysicsDomainError, match="finite"):
+                estimates.CavitySpec(*dims)

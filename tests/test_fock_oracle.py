@@ -36,6 +36,8 @@ class TestBellStateBosonic:
     def test_truncation_error_surfaces(self):
         with pytest.raises(TruncationError):
             fock_oracle.bell_state_bosonic(math.atanh(0.9), 3)
+        with pytest.raises(TruncationError):  # a nan gate once passed every state
+            fock_oracle.bell_state_bosonic(0.5, 40, max_deficit=math.nan)
 
     def test_domain(self):
         for r in (-0.1, math.nan, math.inf):
@@ -43,6 +45,17 @@ class TestBellStateBosonic:
                 fock_oracle.bell_state_bosonic(r, 40)
         with pytest.raises(PhysicsDomainError):
             fock_oracle.bell_state_bosonic(0.1, 1)
+        with pytest.raises(PhysicsDomainError, match="integer"):
+            fock_oracle.bell_state_bosonic(0.5, 40.5)  # once a bare TypeError from range
+
+    def test_integral_float_truncation(self):
+        by_float = fock_oracle.bell_state_bosonic(0.5, 40.0)
+        by_int = fock_oracle.bell_state_bosonic(0.5, 40)
+        assert by_float.basis == by_int.basis
+        assert {k: v.hex() for k, v in by_float.entries.items()} == {
+            k: v.hex() for k, v in by_int.entries.items()
+        }
+        assert by_float.trace_deficit.hex() == by_int.trace_deficit.hex()
 
 
 class TestPartialTranspose:
@@ -85,14 +98,24 @@ class TestBlockwiseOracle:
         series = channels.log_negativity_boson(r, 1e-12).value
         assert numeric == pytest.approx(series, abs=1e-8)
 
-    @pytest.mark.parametrize("r", [-0.1, math.nan, math.inf])
-    def test_domain(self, r):
-        with pytest.raises(PhysicsDomainError, match="invalid block parameters"):
-            fock_oracle.bell_block_bosonic(r, 0)
-        with pytest.raises(PhysicsDomainError, match="invalid block parameters"):
-            fock_oracle.blockwise_negative_eigenvalue(r, 0)
-        with pytest.raises(PhysicsDomainError, match="finite and >= 0"):
-            fock_oracle.blockwise_negativity_bosonic(r, 40)
+    @pytest.mark.parametrize(
+        "r, n, n_blocks, message",
+        [
+            (-0.1, 0, 40, "finite and >= 0"),
+            (math.nan, 0, 40, "finite and >= 0"),
+            (math.inf, 0, 40, "finite and >= 0"),
+            # once labels (0, 1.5), (1, 2.5) and a bare TypeError from range
+            (0.5, 1.5, 40.5, "finite integer"),
+        ],
+        ids=["-0.1", "nan", "inf", "non-integral"],
+    )
+    def test_domain(self, r, n, n_blocks, message):
+        with pytest.raises(PhysicsDomainError, match=message):
+            fock_oracle.bell_block_bosonic(r, n)
+        with pytest.raises(PhysicsDomainError, match=message):
+            fock_oracle.blockwise_negative_eigenvalue(r, n)
+        with pytest.raises(PhysicsDomainError, match=message):
+            fock_oracle.blockwise_negativity_bosonic(r, n_blocks)
 
     def test_block_weight(self):
         # trace of block n is the sector weight t^{2n}(1 + (n+1)/cosh^2 r)/(2 cosh^2 r)
@@ -361,6 +384,8 @@ class TestHelpers:
             fock_oracle.DualRailQubit(1.0, 1.0)
         with pytest.raises(PhysicsDomainError):
             fock_oracle.DualRailQubit(0.6, 0.8).conditional(2, 0)
+        with pytest.raises(PhysicsDomainError):
+            fock_oracle.DualRailQubit(math.nan, math.nan)
 
     def test_fidelity_target_validation(self):
         rho = fock_oracle.bell_state_fermionic(0.2)
@@ -368,6 +393,8 @@ class TestHelpers:
             fock_oracle.fidelity_numeric(rho, {(0, 0): 0.5})  # not normalised
         with pytest.raises(PhysicsDomainError):
             fock_oracle.fidelity_numeric(rho, {(9, 9): 1.0})  # unknown label
+        with pytest.raises(PhysicsDomainError):
+            fock_oracle.fidelity_numeric(rho, {(0, 1): math.nan, (1, 0): 1.0})
 
     def test_density_matrix_contracts(self):
         with pytest.raises(ContractViolationError):

@@ -100,6 +100,30 @@ class TestStaticHole:
             geometry.horizon_from_mass(4, -1.0)
         with pytest.raises(PhysicsDomainError):
             geometry.surface_gravity_schw(4, 0.0)
+        # each of these once returned nan, 0.0 or a number for a non-integral dimension
+        for call in (
+            lambda: geometry.SchwarzschildBH(4, math.nan),
+            lambda: geometry.SchwarzschildBH(4, math.inf),
+            lambda: geometry.SchwarzschildBH(4.5, 1.0),
+            lambda: geometry.sphere_volume(2.5),
+            lambda: geometry.gamma_half(3.5),
+            lambda: geometry.hawking_temperature(math.nan),
+            lambda: geometry.lapse(4, 1.0, math.nan),
+            lambda: geometry.tortoise(4, 1.0, math.nan),
+            lambda: geometry.tortoise(5, 1.0, math.inf),
+        ):
+            with pytest.raises(PhysicsDomainError):
+                call()
+
+    def test_integral_float_dimension(self):
+        # range() once refused d = 5.0 with a bare TypeError
+        by_float = geometry.SchwarzschildBH.from_mass(5.0, 1.0)
+        by_int = geometry.SchwarzschildBH.from_mass(5, 1.0)
+        assert by_float.r_h.hex() == by_int.r_h.hex()
+        assert by_float.kappa.hex() == by_int.kappa.hex()
+        assert geometry.SchwarzschildBH(5.0, 1.0).mass.hex() == (
+            geometry.SchwarzschildBH(5, 1.0).mass.hex()
+        )
 
 
 class TestTortoise:
@@ -200,6 +224,23 @@ class TestRotatingHole:
             geometry.rotating_horizon(1, -1.0, 0.0)
         with pytest.raises(PhysicsDomainError):
             geometry.rotating_kappa_omega(1, 1.0, -0.1)
+        # each of these once returned a hole, a number or nan
+        for call in (
+            lambda: geometry.RotatingBH(1.5, 2.0, 0.1),
+            lambda: geometry.rotating_horizon(2.5, 1.0, 0.0),
+            lambda: geometry.rotating_kappa_omega(1, math.nan, 0.5),
+            lambda: geometry.rotating_mass_angmom(-1, 1.0, 0.5),
+            lambda: geometry.RotatingBH.from_a_star(-1, 1.0, 0.5),
+        ):
+            with pytest.raises(PhysicsDomainError):
+                call()
+
+    def test_overflowing_spin_keeps_kappa_finite(self):
+        # a_*^2 overflows past a_* ~ 1.3e154; kappa once read inf/inf = nan
+        n, r_h, a_star = 3, 2.702655987e-118, 1.821937575e196
+        kappa, omega = geometry.rotating_kappa_omega(n, r_h, a_star)
+        assert kappa == pytest.approx((n - 1) / (2.0 * r_h), rel=1e-15)
+        assert omega == pytest.approx(1.0 / (a_star * r_h), rel=1e-15)
 
     @pytest.mark.parametrize(
         "n, mu, a",
@@ -309,3 +350,6 @@ class TestTevScales:
             geometry.tev_scales(0, 1.0, 5.0)
         with pytest.raises(PhysicsDomainError):
             geometry.tev_scales(2, -1.0, 5.0)
+        for args in ((2, math.nan, 5.0), (2, 1.0, math.inf), (1.5, 1.0, 5.0)):
+            with pytest.raises(PhysicsDomainError):
+                geometry.tev_scales(*args)

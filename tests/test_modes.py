@@ -14,6 +14,8 @@ class TestModeSpec:
             modes.ModeSpec(0.0)
         with pytest.raises(PhysicsDomainError):
             modes.ModeSpec(1.0, 0, "anyon")
+        with pytest.raises(PhysicsDomainError, match="integer"):
+            modes.ModeSpec(1.0, 0.5)
 
     @pytest.mark.parametrize(
         "omega, m", [(math.nan, 0), (math.inf, 0), (1.0, math.inf)], ids=["nan", "inf", "m-inf"]
@@ -29,6 +31,9 @@ class TestModeSpec:
             modes.effective_frequency(mode, 0.5)
         with pytest.raises(SuperradiantModeError):
             modes.effective_frequency(mode, 0.7)
+        with pytest.raises(PhysicsDomainError, match="finite") as info:
+            modes.effective_frequency(mode, math.nan)  # once returned nan
+        assert info.type is PhysicsDomainError
 
 
 class TestSqueezeBoson:

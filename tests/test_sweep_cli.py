@@ -433,6 +433,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
 
+    def test_overflowing_spin_prints_finite_values(self, capsys):
+        # a_* = 1.8e196: a_*^2 once overflowed to kappa = nan, T = nan, Omega = 0
+        argv = ["geom", "--n", "3", "--mu", "1.7710468985753346e-78",
+                "--a", "4.9240704937596464e+78"]
+        assert cli.main(argv) == cli.EXIT_OK
+        values = [float(line.split(" = ")[1]) for line in capsys.readouterr().out.splitlines()]
+        assert len(values) == 7
+        assert all(math.isfinite(v) for v in values)
+        assert all(v > 0 for v in values)
+
     def test_teleport_takes_no_tol(self, capsys):
         assert cli.main(["teleport", "--kappa", "1", "--omega", "1", "--tol", "1e-6"]) == 2
 
