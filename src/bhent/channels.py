@@ -34,8 +34,8 @@ from bhent import geometry, modes
 from bhent.errors import ContractViolationError, PhysicsDomainError, check_integer
 
 DEFAULT_SERIES_TOL = 1e-10
-# Smallest accepted series tolerance; _ZETA_NEG_HALF is sized to certify it.
-MIN_SERIES_TOL = 1e-30
+# Accepted series tolerances; _ZETA_NEG_HALF is sized to certify the smallest.
+MIN_SERIES_TOL, MAX_SERIES_TOL = 1e-30, 1e-3
 
 # S(t) is summed directly below this t and expanded about t = 1 from it on.  It
 # lies above every tanh^2 r of the docs/ recipes (the largest is 0.882).
@@ -104,7 +104,7 @@ def log_negativity_boson(r: float, tol: float = DEFAULT_SERIES_TOL) -> Negativit
     terms_used and tail_bound come from _li_half_over_t: tail_bound < tol
     bounds the truncation of S(t) / cosh^3 r, so the value is within
     tail_bound / ln 2 of the exact one up to rounding.  tol must lie in
-    [MIN_SERIES_TOL, 1e-3].
+    [MIN_SERIES_TOL, MAX_SERIES_TOL].
     """
     modes.check_boson_r(r)
     check_series_tol(tol)
@@ -215,10 +215,10 @@ def mode_point(
 
 
 def check_series_tol(tol: float) -> None:
-    """Reject a series tolerance outside [MIN_SERIES_TOL, 1e-3] (or nan)."""
-    if not MIN_SERIES_TOL <= tol <= 1e-3:
+    """Reject a series tolerance outside [MIN_SERIES_TOL, MAX_SERIES_TOL] (or nan)."""
+    if not MIN_SERIES_TOL <= tol <= MAX_SERIES_TOL:
         raise PhysicsDomainError(
-            f"series tolerance must be in [{MIN_SERIES_TOL:g}, 1e-3], got {tol}"
+            f"series tolerance must be in [{MIN_SERIES_TOL:g}, {MAX_SERIES_TOL:g}], got {tol}"
         )
 
 

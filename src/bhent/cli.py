@@ -13,14 +13,17 @@ tev           TeV-gravity length scales
 Exit codes: 0 success; 2 invalid flags (teleport takes no --tol); 3 physics
 domain error, which also covers a non-finite numeric flag, a result outside
 the floating-point range (pi*omega_eff/kappa below the smallest normal float
-included), a malformed or unknown config line, and a sweep spec with a
-non-integer d/n/m, an unknown statistics, no complete geometry route or no
-frequency; 4 unreadable config or unwritable output path; 5 oracle contract
-mismatch or a truncation too small for the gate (the oracle's trace deficit
-exceeds --tol); 6 internal contract violation (a numerical self-check
-failed, e.g. Jacobi non-convergence or a horizon residual).  The environment
-variable BHE_DEFAULT_TOL overrides the default series tolerance (1e-10) of
-entangle and sweep.
+included), a malformed --axis/--fixed flag or a malformed or unknown
+config line (one parser reads both), an oracle-check --tol outside ten
+times the series range, and a sweep spec with a non-integer d/n/m, an
+unknown statistics, a parameter given twice (each is an axis or fixed), an
+output named twice, no complete geometry route, a fixed geometry with no
+hole, or no frequency; 4 unreadable config or unwritable output path; 5
+oracle contract mismatch or a truncation too small for the gate (the
+oracle's trace deficit exceeds --tol); 6 internal contract violation (a
+numerical self-check failed, e.g. Jacobi non-convergence or a horizon
+residual).  The environment variable BHE_DEFAULT_TOL overrides the default
+series tolerance (1e-10) of entangle and sweep.
 """
 
 from __future__ import annotations
@@ -164,8 +167,6 @@ def _parse_fixed(text: str) -> tuple[str, object]:
         raise PhysicsDomainError(f"fixed parameter {key} must be a number, got {value!r}") from None
 
 
-
-
 def read_config(path: str) -> dict[str, list[str]]:
     """Parse `key = value` lines; `#` starts a comment; repeated keys stack."""
     entries: dict[str, list[str]] = {}
@@ -186,21 +187,18 @@ def read_config(path: str) -> dict[str, list[str]]:
 
 
 def _build_spec(args) -> sweep.SweepSpec:
-    axes = list(args.axis or [])
-    fixed = dict(args.fixed or [])
-    outputs = args.output
-    if args.config:
-        cfg = read_config(args.config)
-        if not axes:
-            axes = [_parse_axis(v) for v in cfg.get("axis", [])]
-        if not fixed:
-            fixed = dict(_parse_fixed(v) for v in cfg.get("fixed", []))
-        if outputs is None and "output" in cfg:
-            outputs = cfg["output"][-1]
-    out_list = tuple((outputs or "E_N").replace(" ", "").split(","))
-    if "tol" not in fixed:
+    """The spec of the --axis/--fixed/--output flags; each group given replaces the config's."""
+    cfg = read_config(args.config) if args.config else {}
+    axes = tuple(_parse_axis(v) for v in args.axis or cfg.get("axis", []))
+    fixed = {}
+    for key, value in (_parse_fixed(v) for v in args.fixed or cfg.get("fixed", [])):
+        if key in fixed:  # a dict would keep the last silently
+            raise PhysicsDomainError(f"sweep parameter {key!r} is given more than once")
+        fixed[key] = value
+    outputs = args.output if args.output is not None else cfg.get("output", [""])[-1]
+    if "tol" not in fixed and "tol" not in (ax.name for ax in axes):
         fixed["tol"] = default_tol()
-    return sweep.SweepSpec(tuple(axes), fixed, out_list)
+    return sweep.SweepSpec(axes, fixed, tuple((outputs or "E_N").replace(" ", "").split(",")))
 
 
 def cmd_sweep(args) -> int:
@@ -224,8 +222,7 @@ def cmd_oracle_check(args) -> int:
     for th in tanh_values:
         if not 0.0 <= th < 1.0:
             raise PhysicsDomainError(f"--tanhr values must lie in [0, 1), got {th}")
-    tol = args.tol
-    rows = reports.negativity_rows(tanh_values, trunc, tol)
+    rows = reports.negativity_rows(tanh_values, trunc, args.tol)
     rng_points = [(0.1 + 0.05 * k, k % 6) for k in range(12)]
     rows += reports.eigenvalue_rows(rng_points)
     rows += reports.fermion_rows()
@@ -237,7 +234,7 @@ def cmd_oracle_check(args) -> int:
         for row in rows
         if not row[5].startswith("informational")
         and row[0] != "F_boson_verdict"
-        and not (row[4] < tol)
+        and not (row[4] < args.tol)
     ]
     for row in failures:
         print(f"MISMATCH {row[0]} {row[1]}: diff {row[4]}", file=sys.stderr)
@@ -318,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=float, help="series tolerance")
 
     p = sub.add_parser("sweep", help="grid sweep to CSV")
-    p.add_argument("--axis", action="append", type=_parse_axis, help="name:lo:hi:count[:scale]")
-    p.add_argument("--fixed", action="append", type=_parse_fixed, help="key=value")
+    p.add_argument("--axis", action="append", help="name:lo:hi:count[:scale]")
+    p.add_argument("--fixed", action="append", help="key=value")
     p.add_argument("--output", help="comma-separated outputs (kappa,Omega,r,N_occ,E_N,F)")
     p.add_argument("--config", help="key = value config file; flags override")
     p.add_argument("--out", required=True, help="CSV output path")

@@ -90,11 +90,11 @@ class TruncatedDensityMatrix:
             if i not in labels or j not in labels:
                 raise ContractViolationError(f"entry {(i, j)} has a label outside the basis")
             if i == j:
-                if v < -1e-14:
-                    raise ContractViolationError("negative diagonal entry in density matrix")
+                if not v >= -1e-14:  # nan fails this test too
+                    raise ContractViolationError(f"negative or nan diagonal entry {v} at {i}")
             else:
                 asym = abs(v - get((j, i), 0.0))
-                if asym > asym_tol:
+                if not asym <= asym_tol:
                     raise ContractViolationError(f"density matrix asymmetry {asym} at {(i, j)}")
         self.basis = basis
         self.entries = entries
@@ -111,7 +111,7 @@ class DualRailQubit:
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: float, beta: float) -> None:
-        if not abs(alpha**2 + beta**2 - 1.0) <= 1e-12:
+        if not abs(alpha * alpha + beta * beta - 1.0) <= 1e-12:  # overflow gives inf
             raise PhysicsDomainError(f"qubit amplitudes not normalised: {alpha}, {beta}")
         self.alpha = alpha
         self.beta = beta

@@ -15,6 +15,7 @@ import math
 from collections.abc import Iterable, Sequence
 
 from bhent import channels, fock_oracle, modes, sweep
+from bhent.errors import PhysicsDomainError
 
 REPORT_HEADER = ("quantity", "point", "closed_form", "oracle", "abs_diff", "note")
 
@@ -31,11 +32,14 @@ def negativity_rows(
     """Bosonic log-negativity: series vs blockwise oracle (gated), plus the
     full-spectrum value (informational).
 
-    tol is the gate on |series - oracle|.  The series is summed to tol/10,
-    and the oracle raises TruncationError when its own trace deficit at
-    n_trunc exceeds tol, so a truncation too small for the gate is reported
-    as such, never as a mismatch of the closed form.
+    tol is the gate on |series - oracle|, in ten times the series range: the
+    series is summed to tol/10, and the oracle raises TruncationError when
+    its own trace deficit at n_trunc exceeds tol, so a truncation too small
+    for the gate is reported as such, never as a mismatch of the closed form.
     """
+    lo, hi = 10.0 * channels.MIN_SERIES_TOL, 10.0 * channels.MAX_SERIES_TOL
+    if not lo <= tol <= hi:
+        raise PhysicsDomainError(f"oracle gate tol must be in [{lo!r}, {hi!r}], got {tol}")
     rows = []
     for th in tanh_r_values:
         r = math.atanh(th)

@@ -24,6 +24,7 @@ import stat
 
 from bhent import channels, geometry, modes
 from bhent.errors import NakedSingularityError, PhysicsDomainError, SuperradiantModeError
+from bhent.errors import check_integer, check_positive
 
 PARAMETER_VOCABULARY = frozenset(
     {"d", "n", "M", "mu", "r_h", "a", "a_star", "omega", "omega_rh", "m", "statistics", "tol"}
@@ -33,12 +34,7 @@ INTEGER_PARAMETERS = frozenset({"d", "n", "m"})
 
 
 def _check_value(name: str, value) -> None:
-    """Check one sweep parameter value.
-
-    statistics must come from the vocabulary; every other value must be
-    finite, d, n and m integral (4.0 is accepted, 4.7 is not), and tol a
-    series tolerance that channels accepts.
-    """
+    """A statistics name, or a finite value: d, n, m integral (4.0, not 4.7), tol a series tol."""
     if name == "statistics":
         if value not in (modes.BOSON, modes.FERMION):
             raise PhysicsDomainError(
@@ -47,8 +43,8 @@ def _check_value(name: str, value) -> None:
         return
     if not math.isfinite(value):
         raise PhysicsDomainError(f"sweep parameter {name} must be finite, got {value}")
-    if name in INTEGER_PARAMETERS and value != int(value):
-        raise PhysicsDomainError(f"sweep parameter {name} must be an integer, got {value}")
+    if name in INTEGER_PARAMETERS:
+        check_integer(f"sweep parameter {name}", value, -math.inf)
     if name == "tol":
         channels.check_series_tol(value)
 
@@ -59,17 +55,21 @@ class Axis:
     def __init__(self, name: str, lo: float, hi: float, count: int, scale: str = "linear") -> None:
         if name not in PARAMETER_VOCABULARY:
             raise PhysicsDomainError(f"unknown sweep parameter {name!r}")
-        if count < 2:
-            raise PhysicsDomainError(f"axis {name} needs at least 2 points")
-        if scale not in ("linear", "log"):
+        count = check_integer(f"axis {name} point count", count, 2)
+        if scale == "log":
+            check_positive(f"log axis {name} lo", lo)
+            check_positive(f"log axis {name} hi", hi)
+        elif scale != "linear":
             raise PhysicsDomainError(f"axis scale must be linear or log, got {scale!r}")
-        if scale == "log" and (lo <= 0 or hi <= 0):
-            raise PhysicsDomainError(f"log axis {name} needs positive endpoints")
+        elif not (math.isfinite(lo) and math.isfinite(hi)):
+            raise PhysicsDomainError(f"axis {name} needs finite endpoints, got {lo}, {hi}")
         self.name = name
         self.lo = lo
         self.hi = hi
         self.count = count
         self.scale = scale
+        for value in self.values():  # each point, as a value of the parameter
+            _check_value(name, value)
 
     def values(self) -> list[float]:
         if self.scale == "log":
@@ -88,31 +88,28 @@ class SweepSpec:
             fixed = {}  # a fresh dict per spec, not one shared default
         if not 1 <= len(axes) <= 3:
             raise PhysicsDomainError("a sweep needs between 1 and 3 axes")
-        names = [ax.name for ax in axes]
-        if len(set(names)) != len(names):
-            raise PhysicsDomainError("duplicate axis names")
         for key, value in fixed.items():
             if key not in PARAMETER_VOCABULARY:
                 raise PhysicsDomainError(f"unknown fixed parameter {key!r}")
             _check_value(key, value)
-        for ax in axes:
-            if not (math.isfinite(ax.lo) and math.isfinite(ax.hi)):
-                raise PhysicsDomainError(
-                    f"axis {ax.name} needs finite endpoints, got {ax.lo}, {ax.hi}"
-                )
-            for value in ax.values():
-                _check_value(ax.name, value)
         for out in outputs:
             if out not in OUTPUT_VOCABULARY:
                 raise PhysicsDomainError(f"unknown output {out!r}")
         if not outputs:
             raise PhysicsDomainError("at least one output is required")
-        names = set(fixed).union(names)
+        names = [ax.name for ax in axes] + list(fixed)
+        # each parameter is either an axis or fixed, and each is named once
+        for kind, given in (("sweep parameter", names), ("output", outputs)):
+            for i, name in enumerate(given):
+                if name in given[:i]:
+                    raise PhysicsDomainError(f"{kind} {name!r} is given more than once")
         gap = geometry_gap(names)
         if gap:
             raise PhysicsDomainError(gap)
-        if not names & {"omega", "omega_rh"}:
+        if not {"omega", "omega_rh"}.intersection(names):
             raise PhysicsDomainError("a sweep needs omega or omega_rh")
+        if GEOMETRY_PARAMETERS.isdisjoint(ax.name for ax in axes):
+            resolve_geometry(fixed)  # the hole of every cell: refused here, not as all-NA
         self.axes = axes
         self.fixed = fixed
         self.outputs = outputs

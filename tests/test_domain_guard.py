@@ -15,7 +15,7 @@ from pathlib import Path
 import bhent
 from bhent import errors
 
-MODULES = ("geometry", "modes", "channels", "fock_oracle", "estimates")
+MODULES = ("geometry", "modes", "channels", "fock_oracle", "estimates", "sweep")
 _ORDERING = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 
 

@@ -386,6 +386,8 @@ class TestHelpers:
             fock_oracle.DualRailQubit(0.6, 0.8).conditional(2, 0)
         with pytest.raises(PhysicsDomainError):
             fock_oracle.DualRailQubit(math.nan, math.nan)
+        with pytest.raises(PhysicsDomainError):  # alpha**2 once raised OverflowError
+            fock_oracle.DualRailQubit(1e200, 0.0)
 
     def test_fidelity_target_validation(self):
         rho = fock_oracle.bell_state_fermionic(0.2)
@@ -400,6 +402,13 @@ class TestHelpers:
         with pytest.raises(ContractViolationError):
             # a stored label outside the basis
             fock_oracle.TruncatedDensityMatrix(((0, 0),), {((1, 1), (1, 1)): 1.0})
+        with pytest.raises(ContractViolationError, match="nan diagonal entry nan"):
+            fock_oracle.TruncatedDensityMatrix(((0, 0),), {((0, 0), (0, 0)): math.nan})
+        with pytest.raises(ContractViolationError, match="asymmetry nan"):
+            basis = ((0, 0), (1, 1))
+            fock_oracle.TruncatedDensityMatrix(
+                basis, _entries(basis, np.array([[1.0, math.nan], [math.nan, 1.0]]))
+            )
         with pytest.raises(ContractViolationError):
             basis = ((0, 0), (1, 1))
             fock_oracle.TruncatedDensityMatrix(

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import bhent
-from bhent import cli, fock_oracle, geometry, sweep
+from bhent import channels, cli, fock_oracle, geometry, reports, sweep
 from bhent.errors import ContractViolationError, PhysicsDomainError
 
 DOCS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "docs")
@@ -43,6 +43,11 @@ class TestAxis:
             sweep.Axis("omega", 0.0, 1.0, 3, "cubic")
         with pytest.raises(PhysicsDomainError):
             sweep.Axis("omega", 0.0, 1.0, 3, "log")
+        # once a bare TypeError from range, and a log axis of nan points
+        with pytest.raises(PhysicsDomainError, match="point count must be a finite integer"):
+            sweep.Axis("omega", 0.1, 1.0, 2.5)
+        with pytest.raises(PhysicsDomainError, match="log axis omega lo must be finite"):
+            sweep.Axis("omega", math.nan, 1.0, 3, "log")
 
 
 class TestSweepSpec:
@@ -56,6 +61,11 @@ class TestSweepSpec:
             sweep.SweepSpec(axes=(ax,), fixed={"bogus": 1}, outputs=("E_N",))
         with pytest.raises(PhysicsDomainError):
             sweep.SweepSpec(axes=(ax,), outputs=("bogus",))
+        # each parameter is an axis or fixed, and each output is named once
+        with pytest.raises(PhysicsDomainError, match="'omega' is given more than once"):
+            sweep.SweepSpec(axes=(ax,), fixed={"d": 4, "r_h": 1.0, "omega": 3.0})
+        with pytest.raises(PhysicsDomainError, match="'E_N' is given more than once"):
+            sweep.SweepSpec(axes=(ax,), fixed={"d": 4, "r_h": 1.0}, outputs=("E_N", "E_N"))
 
     @pytest.mark.parametrize(
         "axis, fixed",
@@ -340,8 +350,13 @@ class TestConfigFile:
             ("axis = omega:0.1:1:abc", "axis must be name:lo:hi:count[:scale]"),
             ("fixed = d=abc", "fixed parameter d must be a number"),
             ("outptu = E_N,F", "unknown key 'outptu'"),
+            ("axis = omega:0.1:1:1", "axis omega point count must be an integer >= 2, got 1"),
+            ("fixed = omega = 3", "sweep parameter 'omega' is given more than once"),
+            ("fixed = d = 5", "sweep parameter 'd' is given more than once"),
+            ("output = E_N,E_N", "output 'E_N' is given more than once"),
         ],
-        ids=["axis-count", "fixed-value", "misspelt-key"],
+        ids=["axis-count", "fixed-value", "misspelt-key", "one-point", "axis-and-fixed",
+             "fixed-twice", "output-twice"],
     )
     def test_bad_line_exits_3_before_any_csv(self, line, message, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -553,16 +568,47 @@ class TestExitCodes:
             ["--axis", "omega:0.2:1.0:3", "--fixed", "d=4.7", "--fixed", "r_h=1"],
             ["--axis", "omega:0.2:1.0:3", "--fixed", "d=4", "--fixed", "r_h=nan"],
             ["--axis", "omega:0.1:1:3", "--fixed", "d=4"],
+            # malformed flags: once exit 2, "invalid _parse_axis value"
+            ["--axis", "omega:0.1:1:1", "--fixed", "d=4", "--fixed", "r_h=1"],
+            ["--axis", "omega:0.1:1:3", "--fixed", "d"],
+            ["--axis", "bogus:0.1:1:3", "--fixed", "d=4", "--fixed", "r_h=1"],
+            # once exit 0: the fixed omega or the first d dropped, a column written twice
+            ["--axis", "omega:0.1:2:3", "--fixed", "d=4", "--fixed", "r_h=1",
+             "--fixed", "omega=3"],
+            ["--axis", "omega:0.1:2:3", "--fixed", "d=4", "--fixed", "r_h=1",
+             "--fixed", "d=5"],
+            ["--axis", "omega:0.1:2:3", "--fixed", "d=4", "--fixed", "r_h=1",
+             "--output", "E_N,E_N"],
+            # a fixed geometry with no hole: once exit 0 and an all-NA CSV
+            ["--axis", "omega:0.1:1:3", "--fixed", "d=3", "--fixed", "r_h=1"],
+            ["--axis", "omega:0.1:1:3", "--fixed", "d=4", "--fixed", "r_h=-1"],
+            ["--axis", "omega:0.1:1:3", "--fixed", "d=4", "--fixed", "M=0"],
+            ["--axis", "omega:0.1:1:3", "--fixed", "n=1", "--fixed", "mu=1",
+             "--fixed", "a=2"],
         ],
         ids=["statistics-typo", "non-integer-d-axis", "non-integer-d-fixed", "nan-fixed",
-             "no-geometry-route"],
+             "no-geometry-route", "one-point-flag", "fixed-no-value-flag", "unknown-axis-flag",
+             "axis-and-fixed", "fixed-twice", "output-twice", "fixed-d-3", "fixed-negative-rh",
+             "fixed-zero-mass", "fixed-naked-singularity"],
     )
     def test_bad_sweep_spec_writes_no_csv(self, args, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert cli.main(["sweep", *args, "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["0.1", "5e-31"])
+    def test_oracle_gate_tol_out_of_range_exits_3(self, tol, capsys):
+        # once refused as the derived series tolerance tol/10, a value never typed
+        assert cli.main(["oracle-check", "--tol", tol, "--out", os.devnull]) == 3
+        lo, hi = 10.0 * channels.MIN_SERIES_TOL, 10.0 * channels.MAX_SERIES_TOL
+        expected = f"error: oracle gate tol must be in [{lo!r}, {hi!r}], got {float(tol)}\n"
+        assert capsys.readouterr().err == expected
+        for edge in (lo, hi):  # every gate accepted derives a series tolerance accepted
+            channels.check_series_tol(edge / 10.0)
+            assert len(reports.negativity_rows([0.0], 2, edge)) == 2
 
     @pytest.mark.parametrize("tanhr", ["nan", "1", "-0.2", "0.3,abc"])
     def test_oracle_check_bad_tanhr(self, tanhr, capsys):
