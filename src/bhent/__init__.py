@@ -11,7 +11,6 @@ from bhent.channels import (
     fidelity_fermion,
     log_negativity_boson,
     log_negativity_fermion,
-    minibh_bounds,
 )
 from bhent.errors import (
     ContractViolationError,
@@ -22,6 +21,7 @@ from bhent.errors import (
 )
 from bhent.geometry import RotatingBH, SchwarzschildBH, tev_scales
 from bhent.modes import BOSON, FERMION, ModeSpec, SqueezingParams, squeeze
+from bhent.sweep import minibh_bounds
 
 __version__ = "1.0.0"
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 
-from bhent import geometry, modes
+from bhent import modes
 from bhent.errors import ContractViolationError, PhysicsDomainError, check_integer
 
 DEFAULT_SERIES_TOL = 1e-10
@@ -176,16 +176,12 @@ def fidelity_boson(sq: modes.SqueezingParams) -> float:
     See the module docstring: the constructive value is (1 - exp(-2x))^3;
     this function keeps the stated exponent.
     """
-    if sq.x > 700.0:
-        return 1.0
     return (-math.expm1(-sq.x)) ** 3
 
 
 def fidelity_fermion(r: float | modes.SqueezingParams) -> float:
     """Teleportation fidelity F = cos^2 r for the fermionic channel."""
     if isinstance(r, modes.SqueezingParams):
-        if r.x > modes._X_OVERFLOW:
-            return 1.0
         e = math.exp(-r.x)
         cos_r = 1.0 / math.sqrt(1.0 + e * e)
         return cos_r * cos_r
@@ -220,67 +216,3 @@ def check_series_tol(tol: float) -> None:
         raise PhysicsDomainError(
             f"series tolerance must be in [{MIN_SERIES_TOL:g}, {MAX_SERIES_TOL:g}], got {tol}"
         )
-
-
-class MiniBHBounds:
-    """Extrema of E_N and F over a mini-black-hole parameter grid.
-
-    Each arg-max is an (omega*r_h, n, a_star) triple.
-    """
-
-    __slots__ = ("statistics", "e_n_max", "e_n_argmax", "f_max", "f_argmax", "grid_size")
-
-    def __init__(
-        self,
-        statistics: str,
-        e_n_max: float,
-        e_n_argmax: tuple[float, int, float],
-        f_max: float,
-        f_argmax: tuple[float, int, float],
-        grid_size: int,
-    ) -> None:
-        self.statistics = statistics
-        self.e_n_max = e_n_max
-        self.e_n_argmax = e_n_argmax
-        self.f_max = f_max
-        self.f_argmax = f_argmax
-        self.grid_size = grid_size
-
-
-def minibh_bounds(
-    statistics: str,
-    omega_rh_range: tuple[float, float] = (0.05, 0.5),
-    n_values: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6, 7),
-    a_star_values: tuple[float, ...] = (0.0,),
-    omega_points: int = 16,
-    tol: float = 1e-8,
-) -> MiniBHBounds:
-    """Maximise E_N and F over a grid of (omega*r_h, n, a_*), m = 0 modes.
-
-    All quantities depend on omega/kappa only, so the grid is evaluated in
-    units of r_h.  Returns extrema with their arg-max configurations; each
-    cell is evaluated independently so the result does not depend on
-    iteration order.
-    """
-    lo, hi = omega_rh_range
-    omega_points = check_integer("omega grid size", omega_points, 2)
-    if not (0 < lo < hi) or not n_values or not a_star_values:
-        raise PhysicsDomainError("empty or invalid mini-black-hole sweep grid")
-    omegas = [lo + (hi - lo) * i / (omega_points - 1) for i in range(omega_points)]
-
-    best_en = -math.inf
-    best_f = -math.inf
-    arg_en = arg_f = (math.nan, -1, math.nan)
-    count = 0
-    for n in n_values:
-        for a_star in a_star_values:
-            kappa_rh, omega_rh = geometry.rotating_kappa_omega(n, 1.0, a_star)
-            for w in omegas:
-                count += 1
-                _, _, f, neg = mode_point(w, 0, statistics, kappa_rh, omega_rh, tol)
-                e_n = neg.value
-                if e_n > best_en:
-                    best_en, arg_en = e_n, (w, n, a_star)
-                if f > best_f:
-                    best_f, arg_f = f, (w, n, a_star)
-    return MiniBHBounds(statistics, best_en, arg_en, best_f, arg_f, count)

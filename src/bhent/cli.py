@@ -195,7 +195,7 @@ def _build_spec(args) -> sweep.SweepSpec:
         if key in fixed:  # a dict would keep the last silently
             raise PhysicsDomainError(f"sweep parameter {key!r} is given more than once")
         fixed[key] = value
-    outputs = args.output if args.output is not None else cfg.get("output", [""])[-1]
+    outputs = ",".join([args.output] if args.output is not None else cfg.get("output", []))
     if "tol" not in fixed and "tol" not in (ax.name for ax in axes):
         fixed["tol"] = default_tol()
     return sweep.SweepSpec(axes, fixed, tuple((outputs or "E_N").replace(" ", "").split(",")))

@@ -35,8 +35,6 @@ def _jacobi_sweeps(a: list[list[float]], tol: float, max_sweeps: int) -> int:
     """
     n = len(a)
     norm = math.sqrt(sum(x * x for row in a for x in row))
-    if norm == 0.0:
-        return 0
     thresh = tol * norm
     skip = thresh / max(n, 1)
 

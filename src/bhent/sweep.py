@@ -7,7 +7,9 @@ errors inside a cell, and a hole outside the float range, become `NA:<reason>`
 tokens instead of aborting the run, so superradiant or horizonless corners of
 a grid are data.
 
-The grid is walked row-major, the last axis fastest.  A cell whose geometry
+cells() is the one grid walker: run_sweep writes what it yields, and
+minibh_bounds takes its extrema over the paper's mini-black-hole grid.  It
+walks the grid row-major, the last axis fastest.  A cell whose geometry
 parameters (GEOMETRY_PARAMETERS) equal the previous cell's reuses that cell's
 hole, or its NA token, instead of resolving it again; so a grid with its
 frequency axis last solves each hole once.  The reuse changes no byte of
@@ -151,17 +153,17 @@ def geometry_gap(names) -> str:
 def resolve_geometry(params: dict) -> geometry.SchwarzschildBH | geometry.RotatingBH:
     """Resolve cell parameters to the hole of the route geometry_gap names."""
     if "d" in params:
-        d = int(params["d"])
+        d = params["d"]
         if "r_h" in params:
-            return geometry.SchwarzschildBH(d, float(params["r_h"]))
+            return geometry.SchwarzschildBH(d, params["r_h"])
         if "M" in params:
-            return geometry.SchwarzschildBH.from_mass(d, float(params["M"]))
+            return geometry.SchwarzschildBH.from_mass(d, params["M"])
     elif "n" in params and "mu" in params:
-        n, mu = int(params["n"]), float(params["mu"])
+        n, mu = params["n"], params["mu"]
         if "a" in params:
-            return geometry.RotatingBH(n, mu, float(params["a"]))
+            return geometry.RotatingBH(n, mu, params["a"])
         if "a_star" in params:
-            return geometry.RotatingBH.from_a_star(n, mu, float(params["a_star"]))
+            return geometry.RotatingBH.from_a_star(n, mu, params["a_star"])
         return geometry.RotatingBH(n, mu, 0.0)
     raise PhysicsDomainError(geometry_gap(params))
 
@@ -178,14 +180,14 @@ def evaluate_cell(
     """
     if isinstance(bh, str):
         return {name: bh for name in OUTPUT_VOCABULARY}
-    statistics = str(params.get("statistics", modes.BOSON))
-    m = int(params.get("m", 0))
-    tol = float(params.get("tol", channels.DEFAULT_SERIES_TOL))
+    statistics = params.get("statistics", modes.BOSON)
+    m = params.get("m", 0)
+    tol = params.get("tol", channels.DEFAULT_SERIES_TOL)
     try:
         if "omega" in params:
-            omega = float(params["omega"])
+            omega = params["omega"]
         elif "omega_rh" in params:
-            omega = float(params["omega_rh"]) / bh.r_h
+            omega = params["omega_rh"] / bh.r_h
         else:
             raise PhysicsDomainError("cell needs omega or omega_rh")
         kappa = bh.kappa
@@ -203,36 +205,94 @@ def format_value(value) -> str:
     return str(value)
 
 
-def run_sweep(spec: SweepSpec, path: str) -> int:
-    """Evaluate the grid and write the CSV; returns the number of data rows.
+def cells(spec: SweepSpec):
+    """Yield (coords, coord_texts, cell) for each grid cell, row-major.
 
-    Holds one resolved hole (or NA token) at a time: the previous cell's,
-    keyed by the text of its geometry axis values.
+    coords are the axis values, coord_texts their CSV text and cell the
+    evaluate_cell dict.  Holds one resolved hole (or NA token) at a time:
+    the previous cell's, keyed by the text of its geometry axis values.
     """
     # each axis value's CSV text, formatted once per sweep, walked as grid() is
     texts = itertools.product(*([format_value(v) for v in ax.values()] for ax in spec.axes))
     geometric = [ax.name in GEOMETRY_PARAMETERS for ax in spec.axes]
     last_key, bh = None, None
+    for coords, coord_texts in zip(spec.grid(), texts):
+        params = dict(spec.fixed)
+        for ax, value in zip(spec.axes, coords):
+            params[ax.name] = value
+        # .17g text round-trips a float, sign of zero included
+        key = [text for text, geo in zip(coord_texts, geometric) if geo]
+        if key != last_key:
+            last_key = key
+            try:
+                bh = resolve_geometry(params)
+            except (PhysicsDomainError, OverflowError, ZeroDivisionError) as exc:
+                bh = _token_for(exc)  # a token, not the exception: no traceback grows
+        yield coords, coord_texts, evaluate_cell(params, bh)
+
+
+def run_sweep(spec: SweepSpec, path: str) -> int:
+    """Evaluate the grid and write the CSV; returns the number of data rows."""
     rows = 0
     with _rewritten(path) as fh:
         fh.write(",".join(spec.header()) + "\n")
-        for coords, coord_texts in zip(spec.grid(), texts):
-            params = dict(spec.fixed)
-            for ax, value in zip(spec.axes, coords):
-                params[ax.name] = value
-            # .17g text round-trips a float, sign of zero included
-            key = [text for text, geo in zip(coord_texts, geometric) if geo]
-            if key != last_key:
-                last_key = key
-                try:
-                    bh = resolve_geometry(params)
-                except (PhysicsDomainError, OverflowError, ZeroDivisionError) as exc:
-                    bh = _token_for(exc)  # a token, not the exception: no traceback grows
-            cell = evaluate_cell(params, bh)
+        for _, coord_texts, cell in cells(spec):
             out = list(coord_texts) + [format_value(cell[o]) for o in spec.outputs]
             fh.write(",".join(out) + "\n")
             rows += 1
     return rows
+
+
+class MiniBHBounds:
+    """Extrema of E_N and F over the mini-black-hole grid of minibh_bounds.
+
+    Each arg-max is an (omega*r_h, n, a_star) triple.
+    """
+
+    __slots__ = ("statistics", "e_n_max", "e_n_argmax", "f_max", "f_argmax", "grid_size")
+
+    def __init__(
+        self,
+        statistics: str,
+        e_n_max: float,
+        e_n_argmax: tuple[float, int, float],
+        f_max: float,
+        f_argmax: tuple[float, int, float],
+        grid_size: int,
+    ) -> None:
+        self.statistics = statistics
+        self.e_n_max = e_n_max
+        self.e_n_argmax = e_n_argmax
+        self.f_max = f_max
+        self.f_argmax = f_argmax
+        self.grid_size = grid_size
+
+
+def minibh_bounds(statistics: str) -> MiniBHBounds:
+    """Maximise E_N and F over the paper's mini-black-hole grid, m = 0 modes.
+
+    The grid is n = 0..7 extra dimensions by 16 points of omega*r_h in
+    [0.05, 0.5], for non-rotating holes with mu = 1.  The figures depend on
+    omega/kappa only, so the frequency is given in units of r_h.  An
+    extremum keeps the first cell that reaches it, n outer, frequency inner.
+    """
+    a_star = 0.0
+    spec = SweepSpec(
+        (Axis("n", 0, 7, 8), Axis("omega_rh", 0.05, 0.5, 16)),
+        {"mu": 1.0, "a_star": a_star, "m": 0, "tol": 1e-8, "statistics": statistics},
+        ("E_N", "F"),
+    )
+    e_n_max = f_max = -math.inf
+    e_n_argmax = f_argmax = None
+    count = 0
+    for (n, omega_rh), _, cell in cells(spec):
+        count += 1
+        where = (omega_rh, int(n), a_star)
+        if cell["E_N"] > e_n_max:
+            e_n_max, e_n_argmax = cell["E_N"], where
+        if cell["F"] > f_max:
+            f_max, f_argmax = cell["F"], where
+    return MiniBHBounds(statistics, e_n_max, e_n_argmax, f_max, f_argmax, count)
 
 
 @contextlib.contextmanager

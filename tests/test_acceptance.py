@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from bhent import channels, estimates, fock_oracle, geometry, kernels, modes, reports
+from bhent import channels, estimates, fock_oracle, geometry, kernels, modes, reports, sweep
 from helpers import dense
 from scipy.integrate import quad
 
@@ -232,8 +232,8 @@ def test_ac09_geometry_invariants():
 
 def test_ac10_mini_black_hole_bounds():
     start = time.monotonic()
-    boson = channels.minibh_bounds(modes.BOSON)
-    fermion = channels.minibh_bounds(modes.FERMION)
+    boson = sweep.minibh_bounds(modes.BOSON)
+    fermion = sweep.minibh_bounds(modes.FERMION)
     print(
         "[acceptance] AC10 report: "
         f"boson E_N max {boson.e_n_max:.4f} (quoted 0.77), "

@@ -4,7 +4,7 @@ import random
 import mpmath
 import pytest
 
-from bhent import channels, modes
+from bhent import channels, modes, sweep
 from bhent.errors import PhysicsDomainError, SuperradiantModeError
 
 SERIES_LIMIT = math.log2(1.0 + math.sqrt(math.pi) / 2.0)
@@ -120,10 +120,9 @@ class TestNonFiniteInputs:
             lambda: channels.fidelity_boson(modes.squeeze_boson(math.nan, 1.0)),
             lambda: channels.fidelity_boson(modes.squeeze_boson(1.0, math.inf)),
             lambda: channels.mode_point(1.0, 0.5, modes.BOSON, 1.0, 0.0, 1e-10),
-            lambda: channels.minibh_bounds(modes.BOSON, omega_points=math.nan),
         ],
         ids=["E_N-r-nan", "E_N-r-inf", "lambda-r-nan", "lambda-n-inf", "F-omega-nan",
-             "F-kappa-inf", "mode-m-half", "minibh-points-nan"],
+             "F-kappa-inf", "mode-m-half"],
     )
     def test_rejected_at_entry(self, call):
         with pytest.raises(PhysicsDomainError, match="finite"):
@@ -173,6 +172,11 @@ class TestFermionicChannel:
             channels.fidelity_fermion(sq.r), rel=1e-13
         )
 
+    @pytest.mark.parametrize("x", [19.0, math.nextafter(350.0, math.inf), 1e300, math.inf])
+    def test_fidelity_is_exactly_one_for_large_x(self, x):
+        # 1 + e^-2x rounds to 1 once e^-2x < 2^-53, through x = 350 and x = inf
+        assert channels.fidelity_fermion(modes.SqueezingParams(x, 0.0, 0.0)) == 1.0
+
     def test_domain(self):
         with pytest.raises(PhysicsDomainError):
             channels.log_negativity_fermion(1.0)
@@ -193,6 +197,11 @@ class TestBosonicFidelity:
             0.0, abs=1e-24
         )
 
+    @pytest.mark.parametrize("x", [37.5, math.nextafter(700.0, math.inf), 1e300, math.inf])
+    def test_exactly_one_for_large_x(self, x):
+        # 1 - e^-x rounds to 1 from x ~ 37.5 on, through x = 700 and x = inf
+        assert channels.fidelity_boson(modes.SqueezingParams(x, 0.0, 0.0)) == 1.0
+
     def test_monotone_in_kappa(self):
         values = [
             channels.fidelity_boson(modes.squeeze_boson(1.0, 10.0**e)) for e in range(0, 4)
@@ -211,30 +220,34 @@ class TestBosonicFidelity:
 
 class TestMiniBHBounds:
     def test_fermion_extrema_respect_analytic_bounds(self):
-        res = channels.minibh_bounds(modes.FERMION)
+        res = sweep.minibh_bounds(modes.FERMION)
         assert math.log2(1.5) - 1e-12 <= res.e_n_max <= 1.0 + 1e-12
         assert 0.5 - 1e-12 <= res.f_max <= 1.0 + 1e-12
         assert res.grid_size == 8 * 16
 
     def test_boson_extrema_bounded(self):
-        res = channels.minibh_bounds(modes.BOSON, n_values=(0, 1, 2), omega_points=8)
+        res = sweep.minibh_bounds(modes.BOSON)
         assert SERIES_LIMIT - 1e-12 <= res.e_n_max <= 1.0 + 1e-12
         assert 0.0 < res.f_max <= 1.0
+        assert res.grid_size == 8 * 16
 
     def test_argmax_is_on_grid(self):
-        res = channels.minibh_bounds(modes.FERMION, n_values=(1,), a_star_values=(0.0, 0.5))
-        w, n, a_star = res.e_n_argmax
-        assert 0.05 <= w <= 0.5
-        assert n == 1
-        assert a_star in (0.0, 0.5)
+        # the extrema and arg-max of the hand-written grid walker this replaced
+        for statistics, e_n_max, f_max in [
+            (modes.BOSON, "0x1.fff0d90ff0118p-1", "0x1.c07353ab21c9ap-1"),
+            (modes.FERMION, "0x1.ff4faedf4fe0cp-1", "0x1.ff0bafd14940ap-1"),
+        ]:
+            res = sweep.minibh_bounds(statistics)
+            assert (res.e_n_max.hex(), res.f_max.hex()) == (e_n_max, f_max)
+            assert res.e_n_argmax == res.f_argmax == (0.5, 0, 0.0)
+            w, n, a_star = res.e_n_argmax
+            # the paper's grid: n = 0..7 by 16 points of omega*r_h in [0.05, 0.5]
+            assert w in sweep.Axis("omega_rh", 0.05, 0.5, 16).values()
+            assert type(n) is int and 0 <= n <= 7 and a_star == 0.0
 
     def test_invalid_grid(self):
-        with pytest.raises(PhysicsDomainError):
-            channels.minibh_bounds("bosn")
-        with pytest.raises(PhysicsDomainError):
-            channels.minibh_bounds(modes.BOSON, omega_rh_range=(0.5, 0.1))
-        with pytest.raises(PhysicsDomainError):
-            channels.minibh_bounds(modes.BOSON, omega_points=1)
+        with pytest.raises(PhysicsDomainError, match="statistics must be"):
+            sweep.minibh_bounds("bosn")
 
 
 class TestModePoint:

@@ -29,6 +29,12 @@ class TestJacobiEigh:
         a = [[3.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 2.0]]
         assert kernels.jacobi_eigh(a) == [-1.0, 2.0, 3.0]
 
+    @pytest.mark.parametrize("a, eigenvalues", [([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]), ([], [])])
+    def test_zero_and_empty_matrix(self, a, eigenvalues):
+        # the first stopping test, 0 <= tol * 0, ends the iteration before any sweep
+        assert kernels.jacobi_eigh(a) == eigenvalues
+        assert kernels._jacobi_sweeps([row[:] for row in a], kernels.JACOBI_TOL, 1) == 0
+
     def test_input_not_mutated(self):
         a = random_symmetric(10, seed=5).tolist()
         before = [row[:] for row in a]

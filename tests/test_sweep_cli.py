@@ -225,6 +225,22 @@ class TestRunSweep:
         assert len(body) == 2 and "NA" not in body[0]
         assert body[1] == "1000" + ",NA:domain" * len(sweep.OUTPUT_VOCABULARY)
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"d": 4.7, "r_h": 1.0}, {"n": 1.9, "mu": 2.0, "a": 0.5}],
+        ids=["d-4.7", "n-1.9"],
+    )
+    def test_resolve_geometry_refuses_non_integral(self, params):
+        # once truncated by int() to a d = 4 or n = 1 hole
+        with pytest.raises(PhysicsDomainError, match="integer"):
+            sweep.resolve_geometry(params)
+
+    def test_evaluate_cell_refuses_non_integral_m(self):
+        # once truncated by int() to the m = 1 values
+        bh = sweep.resolve_geometry({"d": 4, "r_h": 1.0})
+        cell = sweep.evaluate_cell({"omega": 1.0, "m": 1.5}, bh)
+        assert set(cell.values()) == {"NA:domain"}
+
     def test_evaluate_cell_consistency(self):
         bh = sweep.resolve_geometry({"d": 4, "r_h": 1.0})
         cell = sweep.evaluate_cell({"d": 4, "r_h": 1.0, "omega": 0.5}, bh)
@@ -327,6 +343,18 @@ class TestConfigFile:
         assert lines[0] == "omega,E_N,F"
         assert len(lines) == 5
 
+    def test_output_lines_stack(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("axis = omega:0.2:1.0:4\nfixed = d = 4\nfixed = r_h = 1.0\n"
+                       "output = F\noutput = E_N\n")
+        out = tmp_path / "out.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "omega,F,E_N"
+        # --output replaces the config's whole group
+        argv = ["sweep", "--config", str(cfg), "--output", "kappa", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert out.read_text().splitlines()[0] == "omega,kappa"
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("axis = omega:0.2:1.0:4\nfixed = d = 4\nfixed = r_h = 1.0\n")
@@ -354,9 +382,10 @@ class TestConfigFile:
             ("fixed = omega = 3", "sweep parameter 'omega' is given more than once"),
             ("fixed = d = 5", "sweep parameter 'd' is given more than once"),
             ("output = E_N,E_N", "output 'E_N' is given more than once"),
+            ("output = F\noutput = F", "output 'F' is given more than once"),
         ],
         ids=["axis-count", "fixed-value", "misspelt-key", "one-point", "axis-and-fixed",
-             "fixed-twice", "output-twice"],
+             "fixed-twice", "output-twice", "output-on-two-lines"],
     )
     def test_bad_line_exits_3_before_any_csv(self, line, message, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -468,6 +497,18 @@ class TestExitCodes:
         )
         assert rc == 5
         assert "trace deficit" in capsys.readouterr().err
+
+    def test_oracle_closed_form_mismatch_exits_5(self, tmp_path, monkeypatch, capsys):
+        real = channels.log_negativity_fermion
+        monkeypatch.setattr(channels, "log_negativity_fermion", lambda r: real(r) + 1e-6)
+        out = tmp_path / "oc.csv"
+        assert cli.main(["oracle-check", "--trunc", "40", "--out", str(out)]) == 5
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 4
+        assert all(line.startswith("MISMATCH E_N_fermion r=") for line in err)
+        assert out.exists()
+        assert captured.out.splitlines()[-1] == f"wrote 35 rows to {out}"
 
     def test_oracle_truncation_is_not_a_mismatch(self, tmp_path, capsys):
         # the oracle's own trace deficit at trunc 40 (8.7e-4) is above the gate
@@ -741,6 +782,8 @@ class TestPointCommands:
         assert cli.main(["estimate", "radiation-density", "--temp", "2.7"]) == 0
         assert cli.main(["estimate", "coupling-time", "--tbh", "1e-8"]) == 0
         assert cli.main(["estimate", "hawking-temp"]) == 3  # missing mass
+        assert cli.main(["estimate", "radiation-density"]) == 3  # missing temperature
+        assert capsys.readouterr().err.endswith("error: radiation-density needs --temp\n")
 
     def test_tev(self, capsys):
         assert cli.main(["tev", "--n", "2", "--mstar", "1", "--mbh", "5"]) == 0
