@@ -196,8 +196,9 @@ def mode_point(
 
     Returns (r, N_occ, F, E_N).  E_N is a NegativityResult; for fermions
     the closed form is exact, so terms_used and tail_bound are 0.  tol is
-    the bosonic series tolerance.
+    the bosonic series tolerance, checked for both statistics.
     """
+    check_series_tol(tol)
     mode = modes.ModeSpec(omega, m, statistics)
     omega_eff = modes.effective_frequency(mode, omega_h)
     sq = modes.squeeze(omega_eff, kappa, statistics)

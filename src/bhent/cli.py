@@ -22,15 +22,13 @@ hole, or no frequency; 4 unreadable config or unwritable output path; 5
 oracle contract mismatch or a truncation too small for the gate (the
 oracle's trace deficit exceeds --tol); 6 internal contract violation (a
 numerical self-check failed, e.g. Jacobi non-convergence or a horizon
-residual).  The environment variable BHE_DEFAULT_TOL overrides the default
-series tolerance (1e-10) of entangle and sweep.
+residual).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from bhent import channels, geometry, modes, sweep
@@ -42,19 +40,6 @@ EXIT_PHYSICS = 3
 EXIT_IO = 4
 EXIT_MISMATCH = 5
 EXIT_CONTRACT = 6
-
-
-def default_tol() -> float:
-    raw = os.environ.get("BHE_DEFAULT_TOL")
-    if raw is None:
-        return channels.DEFAULT_SERIES_TOL
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise PhysicsDomainError(f"BHE_DEFAULT_TOL is not a number: {raw!r}")
-    if not math.isfinite(tol):
-        raise PhysicsDomainError(f"BHE_DEFAULT_TOL must be finite, got {raw!r}")
-    return tol
 
 
 def _check_finite(args) -> None:
@@ -118,9 +103,8 @@ def _horizon(args) -> tuple[float, float]:
 
 
 def cmd_entangle(args) -> int:
-    tol = default_tol() if args.tol is None else args.tol
     r, n_occ, _, e_n = channels.mode_point(
-        args.omega, args.m, args.statistics, *_horizon(args), tol
+        args.omega, args.m, args.statistics, *_horizon(args), args.tol
     )
     print(f"E_N = {_fmt(e_n.value)}")
     if args.statistics == modes.BOSON:
@@ -169,20 +153,24 @@ def _parse_fixed(text: str) -> tuple[str, object]:
 
 def read_config(path: str) -> dict[str, list[str]]:
     """Parse `key = value` lines; `#` starts a comment; repeated keys stack."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise OSError(f"{path}: config file is not UTF-8 text") from None
     entries: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise PhysicsDomainError(f"{path}:{lineno}: expected key = value")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key not in ("axis", "fixed", "output"):
-                raise PhysicsDomainError(
-                    f"{path}:{lineno}: unknown key {key!r}, expected axis, fixed or output"
-                )
-            entries.setdefault(key, []).append(value)
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise PhysicsDomainError(f"{path}:{lineno}: expected key = value")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key not in ("axis", "fixed", "output"):
+            raise PhysicsDomainError(
+                f"{path}:{lineno}: unknown key {key!r}, expected axis, fixed or output"
+            )
+        entries.setdefault(key, []).append(value)
     return entries
 
 
@@ -196,8 +184,6 @@ def _build_spec(args) -> sweep.SweepSpec:
             raise PhysicsDomainError(f"sweep parameter {key!r} is given more than once")
         fixed[key] = value
     outputs = ",".join([args.output] if args.output is not None else cfg.get("output", []))
-    if "tol" not in fixed and "tol" not in (ax.name for ax in axes):
-        fixed["tol"] = default_tol()
     return sweep.SweepSpec(axes, fixed, tuple((outputs or "E_N").replace(" ", "").split(",")))
 
 
@@ -312,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add_mode_flags(p)
         p.set_defaults(func=func)
         if name == "entangle":
-            p.add_argument("--tol", type=float, help="series tolerance")
+            p.add_argument(
+                "--tol", type=float, default=channels.DEFAULT_SERIES_TOL, help="series tolerance"
+            )
 
     p = sub.add_parser("sweep", help="grid sweep to CSV")
     p.add_argument("--axis", action="append", help="name:lo:hi:count[:scale]")

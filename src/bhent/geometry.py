@@ -146,10 +146,9 @@ class SchwarzschildBH:
     angular_momentum = 0.0
 
     def __init__(self, d: int, r_h: float) -> None:
-        self.d = d
+        self.d = _check_static(d, r_h)
         self.r_h = r_h
-        # surface_gravity_schw checks (d, r_h) before it computes kappa
-        self.kappa = surface_gravity_schw(d, r_h)
+        self.kappa = surface_gravity_schw(self.d, r_h)
 
     @classmethod
     def from_mass(cls, d: int, mass: float) -> "SchwarzschildBH":
@@ -317,12 +316,12 @@ class RotatingBH:
     __slots__ = ("n", "mu", "a", "r_h", "a_star", "kappa", "omega_h")
 
     def __init__(self, n: int, mu: float, a: float) -> None:
-        self.n = n
+        self.n = check_integer("extra dimensions", n, 0)
         self.mu = mu
         self.a = a
-        self.r_h = rotating_horizon(n, mu, a)
+        self.r_h = rotating_horizon(self.n, mu, a)
         self.a_star = a / self.r_h
-        self.kappa, self.omega_h = rotating_kappa_omega(n, self.r_h, self.a_star)
+        self.kappa, self.omega_h = rotating_kappa_omega(self.n, self.r_h, self.a_star)
 
     @classmethod
     def from_a_star(cls, n: int, mu: float, a_star: float) -> "RotatingBH":
@@ -331,7 +330,10 @@ class RotatingBH:
         check_non_negative("a_*", a_star)
         check_positive("mass parameter", mu)
         r_h = (mu / (1.0 + a_star * a_star)) ** (1.0 / (n + 1))
-        return cls(n, mu, a_star * r_h)
+        a = a_star * r_h
+        if a == 0.0 and a_star != 0.0:  # r_h or a underflowed; the hole would not rotate
+            raise PhysicsDomainError(f"spin underflows to 0 for n={n}, mu={mu}, a_*={a_star}")
+        return cls(n, mu, a)
 
     @property
     def mass(self) -> float:

@@ -285,3 +285,5 @@ class TestModePoint:
             channels.mode_point(1.0, 0, "bosn", 1.0, 0.0, 1e-10)
         with pytest.raises(PhysicsDomainError):
             channels.mode_point(1.0, 0, modes.BOSON, 1.0, 0.0, 0.5)
+        with pytest.raises(PhysicsDomainError, match="series tolerance"):
+            channels.mode_point(1.0, 0, modes.FERMION, 1.0, 0.0, 0.5)

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq as scipy_brentq
 
 import bhent
-from bhent import geometry
+from bhent import geometry, sweep
 from bhent.errors import ContractViolationError, NakedSingularityError, PhysicsDomainError
 
 
@@ -235,6 +235,14 @@ class TestRotatingHole:
             with pytest.raises(PhysicsDomainError):
                 call()
 
+    @pytest.mark.parametrize(
+        "n, mu, a_star", [(2, 1.0, 1e200), (2, 1.0, 1e155), (0, 1.0, 1e200), (0, 0.1, 5e-324)]
+    )
+    def test_from_a_star_refuses_vanishing_spin(self, n, mu, a_star):
+        # r_h = [mu/(1+a_*^2)]^(1/(n+1)) or a = a_* r_h underflows to 0: once a static hole
+        with pytest.raises(PhysicsDomainError, match="spin underflows"):
+            geometry.RotatingBH.from_a_star(n, mu, a_star)
+
     def test_overflowing_spin_keeps_kappa_finite(self):
         # a_*^2 overflows past a_* ~ 1.3e154; kappa once read inf/inf = nan
         n, r_h, a_star = 3, 2.702655987e-118, 1.821937575e196
@@ -288,6 +296,23 @@ def _horizon_cases():
                 a = edge * rng.random()
             cases.append((n, mu, a))
     return cases
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: geometry.SchwarzschildBH(4.0, 1.0), "d"),
+        (lambda: geometry.SchwarzschildBH.from_mass(5.0, 2.0), "d"),
+        (lambda: geometry.RotatingBH(2.0, 1.0, 0.1), "n"),
+        (lambda: geometry.RotatingBH.from_a_star(2.0, 1.0, 0.5), "n"),
+        (lambda: sweep.resolve_geometry({"d": 4.0, "r_h": 1.0}), "d"),
+        (lambda: sweep.resolve_geometry({"n": 3.0, "mu": 1.0, "a": 0.2}), "n"),
+    ],
+    ids=["static", "static-from-mass", "rotating", "rotating-from-a-star",
+         "sweep-static", "sweep-rotating"],
+)
+def test_holes_keep_the_integer_their_checks_return(make, field):
+    assert type(getattr(make(), field)) is int
 
 
 class TestBrentPort:

@@ -9,7 +9,6 @@ recipe.  Rebuild them (only when an output change is intended) with
 
 import contextlib
 import io
-import os
 from pathlib import Path
 
 import pytest
@@ -99,11 +98,6 @@ def sweep_csv(recipe: str, path: Path) -> bytes:
     return path.read_bytes()
 
 
-@pytest.fixture(autouse=True)
-def _default_tol(monkeypatch):
-    monkeypatch.delenv("BHE_DEFAULT_TOL", raising=False)
-
-
 def test_point_commands_match_golden():
     golden = (GOLDEN / "point_commands.txt").read_text(encoding="utf-8")
     assert transcript() == golden
@@ -115,8 +109,18 @@ def test_docs_sweep_matches_golden(recipe, tmp_path):
     assert sweep_csv(recipe, tmp_path / "fig.csv") == golden
 
 
+def test_environment_sets_no_tolerance(tmp_path, monkeypatch):
+    # the environment variable that once set the default series tolerance moves no byte
+    monkeypatch.delenv("BHE_DEFAULT_TOL", raising=False)
+    unset = run(["entangle", "--kappa", "1", "--omega", "1.0"])
+    monkeypatch.setenv("BHE_DEFAULT_TOL", "1e-4")
+    assert run(["entangle", "--kappa", "1", "--omega", "1.0"]) == unset
+    recipe = "fig_negativity_vs_kappa_omega.cfg"
+    golden = (GOLDEN / recipe.replace(".cfg", ".csv")).read_bytes()
+    assert sweep_csv(recipe, tmp_path / "fig.csv") == golden
+
+
 if __name__ == "__main__":
-    os.environ.pop("BHE_DEFAULT_TOL", None)
     (GOLDEN / "point_commands.txt").write_text(transcript(), encoding="utf-8")
     for name in RECIPES:
         sweep_csv(name, GOLDEN / name.replace(".cfg", ".csv"))

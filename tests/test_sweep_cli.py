@@ -404,6 +404,17 @@ class TestConfigFile:
         assert err.startswith("error: ") and err.count("\n") == 1 and "missing.cfg" in err
         assert not out.exists()
 
+    def test_non_utf8_config_exits_4(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"axis = omega:0.2:1.0:4\n\xff\n")
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--config", str(cfg), "--fixed", "d=4", "--fixed", "r_h=1",
+                "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}: config file is not UTF-8 text\n"
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_success(self, capsys):
@@ -486,6 +497,25 @@ class TestExitCodes:
         assert len(values) == 7
         assert all(math.isfinite(v) for v in values)
         assert all(v > 0 for v in values)
+
+    def test_vanishing_spin_exits_3_with_no_output(self, tmp_path, capsys):
+        # a_*^2 overflows, r_h = [mu/(1+a_*^2)]^(1/3) reads 0, and a = a_* r_h = 0
+        out = tmp_path / "x.csv"
+        rc = cli.main(["sweep", "--axis", "omega:0.1:1:2", "--fixed", "n=2", "--fixed", "mu=1",
+                       "--fixed", "a_star=1e200", "--output", "kappa,Omega", "--out", str(out)])
+        assert rc == cli.EXIT_PHYSICS
+        err = capsys.readouterr().err
+        assert err.startswith("error: spin underflows to 0") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_vanishing_spin_cell_is_na(self, tmp_path):
+        out = tmp_path / "x.csv"
+        rc = cli.main(["sweep", "--axis", "a_star:0:1e200:2", "--fixed", "n=2", "--fixed", "mu=1",
+                       "--fixed", "omega=0.5", "--output", "kappa,Omega", "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        assert out.read_text().splitlines()[1:] == [
+            "0,1.5,0", "9.9999999999999997e+199,NA:domain,NA:domain"
+        ]
 
     def test_teleport_takes_no_tol(self, capsys):
         assert cli.main(["teleport", "--kappa", "1", "--omega", "1", "--tol", "1e-6"]) == 2
@@ -715,23 +745,14 @@ def test_runtime_source_names_numpy_only_in_draws_comment():
 
 
 class TestSeriesTolerance:
-    """A sweep tol outside the series range is refused before any CSV opens."""
+    """A tol outside the series range is refused: a sweep's before any CSV opens."""
 
     @pytest.mark.parametrize(
-        "extra, env",
-        [
-            (["--fixed", "tol=0.5"], None),
-            (["--fixed", "tol=1e-40"], None),
-            (["--axis", "tol:1e-6:0.5:2"], None),
-            ([], "0.5"),
-        ],
-        ids=["fixed-above", "fixed-below", "axis", "env"],
+        "extra",
+        [["--fixed", "tol=0.5"], ["--fixed", "tol=1e-40"], ["--axis", "tol:1e-6:0.5:2"]],
+        ids=["fixed-above", "fixed-below", "axis"],
     )
-    def test_rejected_with_no_output(self, extra, env, tmp_path, monkeypatch, capsys):
-        if env is None:
-            monkeypatch.delenv("BHE_DEFAULT_TOL", raising=False)
-        else:
-            monkeypatch.setenv("BHE_DEFAULT_TOL", env)
+    def test_rejected_with_no_output(self, extra, tmp_path, capsys):
         out = tmp_path / "x.csv"
         rc = cli.main(["sweep", "--axis", "omega:0.2:1.0:2", "--fixed", "d=4",
                        "--fixed", "r_h=1", *extra, "--out", str(out)])
@@ -740,25 +761,14 @@ class TestSeriesTolerance:
         assert len(err) == 1 and err[0].startswith("error: series tolerance must be in")
         assert not out.exists()
 
-
-class TestEnvTolerance:
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("BHE_DEFAULT_TOL", "1e-4")
-        assert cli.default_tol() == 1e-4
-        monkeypatch.delenv("BHE_DEFAULT_TOL")
-        assert cli.default_tol() == 1e-10
-
-    def test_invalid_env_is_domain_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("BHE_DEFAULT_TOL", "not-a-number")
-        rc = cli.main(["entangle", "--kappa", "1", "--omega", "1"])
-        assert rc == 3
-
-    def test_non_finite_env_is_domain_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("BHE_DEFAULT_TOL", "nan")
-        rc = cli.main(["sweep", "--axis", "omega:0.2:1.0:2", "--fixed", "d=4",
-                       "--fixed", "r_h=1", "--out", os.devnull])
-        assert rc == 3
-        assert "BHE_DEFAULT_TOL" in capsys.readouterr().err
+    @pytest.mark.parametrize("statistics", ["boson", "fermion"])
+    def test_entangle_rejects_for_both_statistics(self, statistics, capsys):
+        # the fermionic closed form reads no tol, but the flag is still checked
+        argv = ["entangle", "--kappa", "1", "--omega", "1", "--statistics", statistics]
+        assert cli.main(argv + ["--tol", "5"]) == cli.EXIT_PHYSICS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: series tolerance must be in [1e-30, 0.001], got 5.0\n"
 
 
 class TestPointCommands:
