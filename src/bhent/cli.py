@@ -13,16 +13,16 @@ tev           TeV-gravity length scales
 Exit codes: 0 success; 2 invalid flags (teleport takes no --tol); 3 physics
 domain error, which also covers a non-finite numeric flag, a result outside
 the floating-point range (pi*omega_eff/kappa below the smallest normal float
-included), a malformed --axis/--fixed flag or a malformed or unknown
-config line (one parser reads both), an oracle-check --tol outside ten
-times the series range, and a sweep spec with a non-integer d/n/m, an
-unknown statistics, a parameter given twice (each is an axis or fixed), an
-output named twice, no complete geometry route, a fixed geometry with no
-hole, or no frequency; 4 unreadable config or unwritable output path; 5
-oracle contract mismatch or a truncation too small for the gate (the
-oracle's trace deficit exceeds --tol); 6 internal contract violation (a
-numerical self-check failed, e.g. Jacobi non-convergence or a horizon
-residual).
+and a non-finite printed value included), a malformed --axis/--fixed flag or
+a malformed or unknown config line (one parser reads both), an oracle-check
+--tol outside ten times the series range, and a sweep spec with a
+non-integer d/n/m, an unknown statistics, a parameter given twice (each is
+an axis or fixed), an output named twice, no complete geometry route, a
+fixed geometry with no hole, or no frequency; 4 unreadable config or
+unwritable output path; 5 oracle contract mismatch or a truncation too small
+for the gate (the oracle's trace deficit exceeds --tol); 6 internal contract
+violation (a numerical self-check failed, e.g. Jacobi non-convergence or a
+horizon residual).
 """
 
 from __future__ import annotations
@@ -49,8 +49,17 @@ def _check_finite(args) -> None:
             raise PhysicsDomainError(f"--{name} must be finite, got {value}")
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".10g")
+def _print_results(lines: dict) -> int:
+    """Print `name = value` lines (a float to 10 digits) once every value is finite.
+
+    A non-finite value is a result outside the floating-point range: nothing
+    is printed and main exits 3."""
+    for key, value in lines.items():
+        if not math.isfinite(value):
+            raise OverflowError(f"{key} = {value}")
+    for key, value in lines.items():
+        print(f"{key} = {value if isinstance(value, int) else format(value, '.10g')}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------- geometry
@@ -86,9 +95,7 @@ def cmd_geom(args) -> int:
     if args.units == "si":
         scale = geometry.TEV_INV_TO_M / args.mstar  # treats lengths as multiples of 1/M_*
         lines["r_h_si_m"] = bh.r_h * scale
-    for key, value in lines.items():  # all computed first: a failure prints nothing
-        print(f"{key} = {_fmt(value)}")
-    return EXIT_OK
+    return _print_results(lines)
 
 
 # ------------------------------------------------------------- mode points
@@ -106,22 +113,18 @@ def cmd_entangle(args) -> int:
     r, n_occ, _, e_n = channels.mode_point(
         args.omega, args.m, args.statistics, *_horizon(args), args.tol
     )
-    print(f"E_N = {_fmt(e_n.value)}")
+    lines = {"E_N": e_n.value}
     if args.statistics == modes.BOSON:
-        print(f"terms_used = {e_n.terms_used}")
-        print(f"tail_bound = {_fmt(e_n.tail_bound)}")
-    print(f"r = {_fmt(r)}")
-    print(f"N_occ = {_fmt(n_occ)}")
-    return EXIT_OK
+        lines.update(terms_used=e_n.terms_used, tail_bound=e_n.tail_bound)
+    lines.update(r=r, N_occ=n_occ)
+    return _print_results(lines)
 
 
 def cmd_teleport(args) -> int:
     r, _, fid, _ = channels.mode_point(
         args.omega, args.m, args.statistics, *_horizon(args), channels.DEFAULT_SERIES_TOL
     )
-    print(f"F = {_fmt(fid)}")
-    print(f"r = {_fmt(r)}")
-    return EXIT_OK
+    return _print_results({"F": fid, "r": r})
 
 
 # ------------------------------------------------------------------ sweep
@@ -212,7 +215,7 @@ def cmd_oracle_check(args) -> int:
     rng_points = [(0.1 + 0.05 * k, k % 6) for k in range(12)]
     rows += reports.eigenvalue_rows(rng_points)
     rows += reports.fermion_rows()
-    rows += reports.fidelity_boson_rows([math.log(2.0), 1.5, 3.0], trunc)
+    rows += reports.fidelity_boson_rows([math.log(2.0), 1.5, 3.0])
     reports.write_report_csv(rows, args.out)
 
     failures = [
@@ -238,28 +241,27 @@ def cmd_estimate(args) -> int:
         cavity = estimates.CavitySpec(args.dl, args.vc)
         mass = args.msun * estimates.M_SUN if args.msun is not None else None
         res = estimates.coupling_time(mass, cavity, args.tbh)
-        print(f"t_s = {_fmt(res.time_s)}")
-        print(f"kappa_si = {_fmt(res.kappa_si)}")
-        print(f"redshift_ratio = {_fmt(res.redshift_ratio)}")
-        print(f"delta_E_J = {_fmt(res.energy_change_j)}")
-        print(f"T_bh_K = {_fmt(res.t_bh)}")
-        print(f"universe_age_s = {_fmt(estimates.AGE_OF_UNIVERSE_S)}")
+        lines = {
+            "t_s": res.time_s,
+            "kappa_si": res.kappa_si,
+            "redshift_ratio": res.redshift_ratio,
+            "delta_E_J": res.energy_change_j,
+            "T_bh_K": res.t_bh,
+            "universe_age_s": estimates.AGE_OF_UNIVERSE_S,
+        }
     elif args.what == "hawking-temp":
         if args.msun is None:
             raise PhysicsDomainError("hawking-temp needs --msun")
-        print(f"T_bh_K = {_fmt(estimates.hawking_temperature_si(args.msun * estimates.M_SUN))}")
-    elif args.what == "radiation-density":
+        lines = {"T_bh_K": estimates.hawking_temperature_si(args.msun * estimates.M_SUN)}
+    else:  # radiation-density
         if args.temp is None:
             raise PhysicsDomainError("radiation-density needs --temp")
-        print(f"rho_J_per_m3 = {_fmt(estimates.radiation_density(args.temp))}")
-    return EXIT_OK
+        lines = {"rho_J_per_m3": estimates.radiation_density(args.temp)}
+    return _print_results(lines)
 
 
 def cmd_tev(args) -> int:
-    scales = geometry.tev_scales(args.n, args.mstar, args.mbh)
-    for key, value in scales.items():
-        print(f"{key} = {_fmt(value)}")
-    return EXIT_OK
+    return _print_results(geometry.tev_scales(args.n, args.mstar, args.mbh))
 
 
 # ------------------------------------------------------------------ parser
@@ -312,7 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="closed forms vs Fock-space oracle")
     p.add_argument("--tanhr", default="0.1,0.3,0.5,0.7", help="comma list of tanh r points")
-    p.add_argument("--trunc", type=int, help="Fock truncation (default fock_oracle.DEFAULT_TRUNC)")
+    p.add_argument(
+        "--trunc", type=int,
+        help="Fock truncation of the bosonic Bell resource (default fock_oracle.DEFAULT_TRUNC)",
+    )
     p.add_argument(
         "--tol", type=float, default=1e-8,
         help="gate on |closed form - oracle|, and the largest oracle trace deficit accepted",

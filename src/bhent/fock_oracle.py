@@ -8,17 +8,15 @@ form.  The eigensolver never sees the whole matrix: negativity_numeric splits
 the non-zero pattern of the partial transpose into connected components,
 found generically by union-find over the labels, and diagonalises each
 component on its own with kernels.jacobi_eigh.  Everything is plain Python
-on floats, lists and dicts.  A bosonic state is refused with TruncationError
-when its analytic trace deficit, the probability mass beyond the truncation,
-exceeds the caller's tolerance.
+on floats, lists and dicts.  The bosonic Bell resource is refused with
+TruncationError when its analytic trace deficit, the probability mass beyond
+the truncation, exceeds the caller's tolerance.
 
 The bosonic post-measurement state of the fidelity oracle is block diagonal
 in the excitation sectors k1 + k2 of the receiver's two modes, and
 bob_post_state_bosonic assembles only sector 1, the one the fidelity reads,
-where the dual-rail target lives.  Its truncation certificate is that of the
-whole state, in closed form: the trace is S0 S1, the product of the truncated
-sums of c0[n]^2 and c1[n]^2, so the deficit is 1 - S0 S1 = A + B - A B for
-their analytic tails A and B.  No certificate sums matrix entries.
+where the dual-rail target lives.  That block takes no truncation, so the
+one certificate, in closed form, is the Bell resource's.
 
 Two negativity pathways exist for the bosonic resource and they do NOT agree.
 Both read the same block entries, written by one formula, _bell_block_entries;
@@ -61,19 +59,12 @@ class TruncatedDensityMatrix:
     basis entries are hashable labels; for two-party states they are
     (party_a, party_b) pairs so the partial transpose can act on party A.
     entries maps (label_i, label_j) to the matrix element; absent pairs are
-    zero, and zeros passed in are dropped.  trace_deficit is the
-    analytically known probability mass lost to truncation (0 for exact
-    finite constructions).
+    zero, and zeros passed in are dropped.
     """
 
-    __slots__ = ("basis", "entries", "trace_deficit")
+    __slots__ = ("basis", "entries")
 
-    def __init__(
-        self,
-        basis: tuple[Label, ...],
-        entries: dict[tuple[Label, Label], float],
-        trace_deficit: float = 0.0,
-    ) -> None:
+    def __init__(self, basis: tuple[Label, ...], entries: dict[tuple[Label, Label], float]) -> None:
         labels = set(basis)
         if len(labels) != len(basis):
             raise ContractViolationError("basis repeats a label")
@@ -98,7 +89,6 @@ class TruncatedDensityMatrix:
                     raise ContractViolationError(f"density matrix asymmetry {asym} at {(i, j)}")
         self.basis = basis
         self.entries = entries
-        self.trace_deficit = trace_deficit
 
     @property
     def dim(self) -> int:
@@ -130,9 +120,10 @@ class DualRailQubit:
             raise PhysicsDomainError(f"measurement outcome must be two bits, got {(i, j)}")
 
 
-def _bosonic_tails(r: float, n_trunc: int) -> tuple[float, float]:
-    """Tails A, B of sum c0[n]^2 and sum c1[n]^2 past n_trunc.
+def _bosonic_trace_deficit(r: float, n_trunc: int) -> float:
+    """Analytic probability mass of the Bell resource beyond truncation, (A + B)/2.
 
+    A, B are the tails of sum c0[n]^2 and sum c1[n]^2 past n_trunc, where
     c0[n] = tanh^n r / cosh r and c1[n] = tanh^n r sqrt(n+1) / cosh^2 r are
     the amplitudes of the logical 0/1 states over hidden-region occupation n;
     both full sums are 1.  With s = tanh^2 r = 1 - cosh^-2 r the tails are
@@ -140,12 +131,7 @@ def _bosonic_tails(r: float, n_trunc: int) -> tuple[float, float]:
     """
     s = math.tanh(r) ** 2
     a = s ** (n_trunc + 1)
-    return a, a * ((n_trunc + 2) - (n_trunc + 1) * s)
-
-
-def _bosonic_trace_deficit(r: float, n_trunc: int) -> float:
-    """Analytic probability mass of the Bell resource beyond truncation, (A + B)/2."""
-    a, b = _bosonic_tails(r, n_trunc)
+    b = a * ((n_trunc + 2) - (n_trunc + 1) * s)
     return (a + b) / 2.0
 
 
@@ -195,14 +181,13 @@ def bell_state_bosonic(
     deficit exceeds max_deficit.
     """
     n_trunc = _check_bosonic_args(r, n_trunc)
-    deficit = _bosonic_trace_deficit(r, n_trunc)
-    _check_truncation(r, n_trunc, deficit, max_deficit)
+    _check_truncation(r, n_trunc, _bosonic_trace_deficit(r, n_trunc), max_deficit)
 
     basis = tuple((a, k) for a in (0, 1) for k in range(n_trunc + 2))
     entries: dict = {}
     for n in range(n_trunc + 1):
         entries.update(_bell_block_entries(r, n))
-    return TruncatedDensityMatrix(basis, entries, deficit)
+    return TruncatedDensityMatrix(basis, entries)
 
 
 def bell_block_bosonic(r: float, n: int) -> TruncatedDensityMatrix:
@@ -215,7 +200,7 @@ def bell_block_bosonic(r: float, n: int) -> TruncatedDensityMatrix:
     check_boson_r(r)
     n = check_integer("block index", n, 0)
     basis = ((0, n), (0, n + 1), (1, n), (1, n + 1))
-    return TruncatedDensityMatrix(basis, _bell_block_entries(r, n), 0.0)
+    return TruncatedDensityMatrix(basis, _bell_block_entries(r, n))
 
 
 def bell_state_fermionic(r: float) -> TruncatedDensityMatrix:
@@ -230,7 +215,7 @@ def bell_state_fermionic(r: float) -> TruncatedDensityMatrix:
         ((1, 1), (0, 0)): 0.5 * cr,
         ((1, 1), (1, 1)): 0.5,
     }
-    return TruncatedDensityMatrix(basis, entries, 0.0)
+    return TruncatedDensityMatrix(basis, entries)
 
 
 def partial_transpose(rho: TruncatedDensityMatrix) -> TruncatedDensityMatrix:
@@ -249,7 +234,7 @@ def partial_transpose(rho: TruncatedDensityMatrix) -> TruncatedDensityMatrix:
             f"basis not closed under partial transpose: missing {missing}"
         )
     entries = {((a2, b), (a, b2)): v for ((a, b), (a2, b2)), v in rho.entries.items()}
-    return TruncatedDensityMatrix(rho.basis, entries, rho.trace_deficit)
+    return TruncatedDensityMatrix(rho.basis, entries)
 
 
 def connected_blocks(rho: TruncatedDensityMatrix) -> list[list[Label]]:
@@ -336,10 +321,7 @@ def blockwise_negative_eigenvalue(r: float, n: int) -> float:
 
 
 def bob_post_state_bosonic(
-    r: float,
-    qubit: DualRailQubit,
-    outcome: tuple[int, int],
-    n_trunc: int = DEFAULT_TRUNC,
+    r: float, qubit: DualRailQubit, outcome: tuple[int, int]
 ) -> TruncatedDensityMatrix:
     """Sector-1 block of the receiver's bosonic dual-rail post-state.
 
@@ -348,23 +330,16 @@ def bob_post_state_bosonic(
     squeezing relation, and the hidden region is traced out.  Basis labels
     are (k1, k2) occupation pairs of the two observable modes.  Each
     hidden-region pair (n1, n2) adds a rank-one projector that lies entirely
-    in the sector k1 + k2 = n1 + n2 + 1, so the state is block diagonal in
-    the sectors 1 .. 2 n_trunc + 1.  Only sector 1, where the dual-rail
+    in the sector k1 + k2 = n1 + n2 + 1.  Only sector 1, where the dual-rail
     target x|1,0> + y|0,1> lives, is assembled: the pair (0, 0) on the basis
-    ((0, 1), (1, 0)).  Its entries equal the whole state's entries of that
-    sector, in the same order and to the bit.  trace_deficit is that of the
-    whole truncated state, 1 - (1 - A)(1 - B) = A + B - A B with the tails
-    A, B of _bosonic_tails.
+    ((0, 1), (1, 0)).  Its entries equal that sector's at every truncation,
+    in the same order and to the bit, so it takes none.  Unnormalised, as
+    bell_block_bosonic is.
     """
-    n_trunc = _check_bosonic_args(r, n_trunc)
+    check_boson_r(r)
     x, y = qubit.conditional(*outcome)
     c = math.cosh(r)
-    c0, c1 = 1.0 / c, 1.0 / (c * c)  # c0[0], c1[0] as _bosonic_tails defines them
-    a, b = _bosonic_tails(r, n_trunc)
-    deficit = a + b - a * b
-    # Looser than the Bell-state gate: the dual-rail fidelity reads only the
-    # n1 = n2 = 0 terms, which the truncation never removes.
-    _check_truncation(r, n_trunc, deficit, 0.01)
+    c0, c1 = 1.0 / c, 1.0 / (c * c)  # c0[0], c1[0] as _bosonic_trace_deficit defines them
 
     # The pair (0, 0) projects onto x c1[0] c0[0] |1, 0> + y c0[0] c1[0] |0, 1>;
     # its four entries are written in the whole state's order, |1, 0> first.
@@ -378,7 +353,7 @@ def bob_post_state_bosonic(
         (ly, lx): coherence,
         (ly, ly): amp_y * amp_y,
     }
-    return TruncatedDensityMatrix((ly, lx), entries, deficit)
+    return TruncatedDensityMatrix((ly, lx), entries)
 
 
 def bob_post_state_fermionic(
@@ -401,7 +376,7 @@ def bob_post_state_fermionic(
         ((1, 0), (1, 0)): w * (x * x),
         ((1, 1), (1, 1)): math.sin(r) ** 2,
     }
-    return TruncatedDensityMatrix(basis, entries, 0.0)
+    return TruncatedDensityMatrix(basis, entries)
 
 
 def _fused_dot(x: list[float], y: list[float]) -> float:

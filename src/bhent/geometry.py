@@ -10,8 +10,9 @@ Conventions
 - Surface gravity kappa = (d-3)/(2 r_h) for the static hole, so the Hawking
   temperature is T = kappa/(2 pi).
 - The rotating horizon radius is always obtained by bracketed root-finding on
-  Delta(r) = r^2 + a^2 - mu / r^(n-1); the closed form
-  r_h = [mu/(1+a_*^2)]^(1/(n+1)) is asserted against the root, never trusted.
+  Delta(r) = r^2 + a^2 - mu / r^(n-1).  RotatingBH.from_a_star uses the closed
+  form r_h = [mu/(1+a_*^2)]^(1/(n+1)) only to form a = a_* r_h; r_h, a_* and
+  kappa then come from the root, whose residual is checked.
   The root-finder is the in-house `brentq`, a line-by-line port of SciPy's C
   Brent routine (Brent 1973, ch. 4), so it returns the same floats without
   importing SciPy.

@@ -145,17 +145,15 @@ def fermion_rows() -> list[tuple]:
     return rows
 
 
-def fidelity_boson_rows(
-    x_values: Sequence[float], n_trunc: int = fock_oracle.DEFAULT_TRUNC
-) -> list[tuple]:
+def fidelity_boson_rows(x_values: Sequence[float]) -> list[tuple]:
     """Bosonic fidelity cross-check for x = pi*omega_eff/kappa values.
 
     Three candidates per point: the stated closed form (1 - e^-x)^3, the
     alternative cosh^-6 r = (1 - e^-2x)^3, and the constructive oracle.  A
     final verdict row names the closed form the construction matches.  The
     teleported qubit is (0.6, 0.8).  The oracle builds only sector 1 of the
-    receiver's post-state, where the target x|1,0> + y|0,1> lives, and
-    certifies the truncation of the whole state analytically.
+    receiver's post-state, where the target x|1,0> + y|0,1> lives; that
+    block is exact, so these rows take no truncation.
     """
     qubit = fock_oracle.DualRailQubit(0.6, 0.8)
     rows = []
@@ -166,7 +164,7 @@ def fidelity_boson_rows(
         outcome = (0, 0)
         xa, ya = qubit.conditional(*outcome)
         oracle = fock_oracle.fidelity_numeric(
-            fock_oracle.bob_post_state_bosonic(sq.r, qubit, outcome, n_trunc),
+            fock_oracle.bob_post_state_bosonic(sq.r, qubit, outcome),
             fock_oracle.dual_rail_target(xa, ya),
         )
         stated = (-math.expm1(-x)) ** 3

@@ -14,20 +14,14 @@ def dense(rho):
     return out
 
 
-# How far the oracle's analytic post-state deficit, A + B - A B, may lie from
-# the reference's 1 - fsum(diagonal): the reference rounds each of its
-# (n_trunc + 2)^2 diagonal entries before the sum.  In 400 seeded draws (r in
-# [0, 2.5] or log-uniform in [1e-12, 1], n_trunc 2..60) the largest gap was
-# 19 * 2^-52.
-DEFICIT_SLACK = 64 * 2.0**-52
-
-
 def reference_post_state(r, qubit, outcome, n_trunc):
-    """The whole bosonic post-state's entries and deficit, one projector per (n1, n2).
+    """The whole bosonic post-state's entries, one projector per (n1, n2).
 
     The pair-by-pair loop the one-pass assembly replaced: a two-item vector
     per pair, added as weight * (a_i * a_j) onto entries.get(key, 0.0).
-    Returns the stored (key, value) items, zeros dropped, and the deficit.
+    Returns the stored (key, value) items, zeros dropped.  Its sector-1 items
+    are the same at every n_trunc, which is why the oracle builds that block
+    with no truncation.
     """
     x, y = qubit.conditional(*outcome)
     # c0[n] = tanh^n r / cosh r and c1[n] = tanh^n r sqrt(n+1) / cosh^2 r
@@ -41,8 +35,7 @@ def reference_post_state(r, qubit, outcome, n_trunc):
             for li, ai in vec:
                 for lj, aj in vec:
                     entries[li, lj] = entries.get((li, lj), 0.0) + 1.0 * (ai * aj)
-    deficit = 1.0 - math.fsum(v for (i, j), v in entries.items() if i == j)
-    return [(k, v) for k, v in entries.items() if v != 0.0], deficit
+    return [(k, v) for k, v in entries.items() if v != 0.0]
 
 
 def sector_items(items, sector):

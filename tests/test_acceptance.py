@@ -196,7 +196,7 @@ def test_ac07_estimates():
 
 def test_ac08_bosonic_fidelity_cross_check(tmp_path):
     start = time.monotonic()
-    rows = reports.fidelity_boson_rows([math.log(2.0), 1.5, 3.0], 40)
+    rows = reports.fidelity_boson_rows([math.log(2.0), 1.5, 3.0])
     reports.write_report_csv(rows, str(tmp_path / "fidelity_report.csv"))
     verdict_rows = [row for row in rows if row[0] == "F_boson_verdict"]
     named = len(verdict_rows) == 1 and "matches" in verdict_rows[0][5] and (

@@ -30,3 +30,19 @@ def test_report_matches_golden(name, args, tmp_path):
     out = tmp_path / "oc.csv"
     assert cli.main(["oracle-check", *args, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("trunc", ["2", "3", "200"])
+def test_fidelity_rows_take_no_truncation(trunc, tmp_path):
+    # the post-state's sector-1 block is exact: trunc 2, where the whole
+    # post-state would lose 0.066 of its trace, gives the trunc-40 rows
+    out = tmp_path / "oc.csv"
+    argv = ["oracle-check", "--tanhr", "0.1", "--tol", "1e-3", "--trunc", trunc]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+
+    def fidelity_rows(text):
+        return [line for line in text.splitlines() if line.startswith("F_boson_")]
+
+    golden = (GOLDEN / "oracle_check_trunc40.csv").read_text()
+    assert fidelity_rows(out.read_text()) == fidelity_rows(golden)
+    assert len(fidelity_rows(golden)) == 7

@@ -16,8 +16,8 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from bhent import channels, fock_oracle, kernels, modes
-from bhent.errors import PhysicsDomainError, TruncationError
-from helpers import DEFICIT_SLACK, reference_post_state, sector_items
+from bhent.errors import PhysicsDomainError
+from helpers import reference_post_state, sector_items
 
 SERIES_LIMIT = math.log2(1.0 + math.sqrt(math.pi) / 2.0)
 # Rounding slack: at t = 1 - 2^-52 the exact E_N exceeds SERIES_LIMIT by
@@ -267,8 +267,8 @@ def test_blockwise_oracle_matches_series(tanh_r):
 
 # bob_post_state_bosonic builds the excitation sector k1 + k2 = 1 of the
 # post-state.  Its block must equal the whole state of the pair-by-pair
-# reference, filtered to that sector, in order and to the bit, and carry the
-# whole state's deficit, to within the reference's rounding.  Its two labels
+# reference at any truncation, filtered to that sector, in order and to the
+# bit.  Its two labels
 # are joined by their coherence, so it is one block wherever that is
 # non-zero; the coherence is zero when x or y is, or when it underflows at
 # tiny r.
@@ -285,16 +285,11 @@ small_r = st.floats(min_value=-12.0, max_value=0.0).map(lambda e: 10.0**e)
 )
 def test_post_state_sector_matches_reference(r, n_trunc, phi, outcome):
     qubit = fock_oracle.DualRailQubit(math.cos(phi), math.sin(phi))
-    items, deficit = reference_post_state(r, qubit, outcome, n_trunc)
-    if deficit > 0.01:
-        with pytest.raises(TruncationError, match="trace deficit"):
-            fock_oracle.bob_post_state_bosonic(r, qubit, outcome, n_trunc)
-        return
-    post = fock_oracle.bob_post_state_bosonic(r, qubit, outcome, n_trunc)
+    items = reference_post_state(r, qubit, outcome, n_trunc)
+    post = fock_oracle.bob_post_state_bosonic(r, qubit, outcome)
     assert [(k, v.hex()) for k, v in post.entries.items()] == [
         (k, v.hex()) for k, v in sector_items(items, 1)
     ]
-    assert abs(post.trace_deficit - deficit) <= DEFICIT_SLACK
     blocks = fock_oracle.connected_blocks(post)
     if post.entries.get(((1, 0), (0, 1)), 0.0):
         assert blocks == [list(post.basis)]
@@ -321,11 +316,11 @@ def test_bell_state_is_the_direct_sum_of_its_blocks(r, n_trunc):
     assert [(k, v.hex()) for k, v in state.entries.items()] == blocks
 
 
-# Both analytic truncation certificates against 50-digit mpmath.  With
+# The analytic truncation certificate against 50-digit mpmath.  With
 # s = tanh^2 r, the tails of the sums of c0[n]^2 and c1[n]^2 past n_trunc are
 # A = s^(n_trunc+1) and B = A ((n_trunc+2) - (n_trunc+1) s); the Bell resource
-# loses (A + B)/2 and the post-state 1 - (1 - A)(1 - B) = A + B - A B.  The
-# match is relative down to the smallest normal float, absolute below it.
+# loses (A + B)/2.  The match is relative down to the smallest normal float,
+# absolute below it.
 # The examples lie where 1 - tanh^2 r cancels (r = 5, 8, 10) or rounds to 0
 # (r = 20), which no certificate may divide by.
 @seed(19)
@@ -343,16 +338,9 @@ def test_deficits_match_mpmath(r, n_trunc):
         s = mpmath.tanh(mpmath.mpf(r)) ** 2
         a = s ** (n_trunc + 1)
         b = a * ((n_trunc + 2) - (n_trunc + 1) * s)
-        bell, post = float((a + b) / 2), float(a + b - a * b)
+        bell = float((a + b) / 2)
     close = dict(rel=1e-12, abs=sys.float_info.min)
     assert fock_oracle._bosonic_trace_deficit(r, n_trunc) == pytest.approx(bell, **close)
-    qubit = fock_oracle.DualRailQubit(0.6, 0.8)
-    try:
-        got = fock_oracle.bob_post_state_bosonic(r, qubit, (0, 0), n_trunc).trace_deficit
-    except TruncationError:
-        assert post > 0.01 * (1.0 - 1e-12)
-    else:
-        assert got == pytest.approx(post, **close)
 
 
 # fock_oracle._fused_dot against its exact-rational reference form, bit for

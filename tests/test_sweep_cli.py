@@ -459,10 +459,14 @@ class TestExitCodes:
             ["geom", "--d", "5", "--rh", "1.3e154"],
             ["geom", "--n", "2", "--mu", "1e308"],
             ["geom", "--n", "2", "--mu", "1e300", "--a", "1e10"],
+            ["estimate", "hawking-temp", "--msun", "1e-320"],
+            ["tev", "--n", "1", "--mstar", "1e-100", "--mbh", "1"],
+            ["geom", "--n", "9", "--mu", "1e300", "--units", "si", "--mstar", "1e-300"],
         ],
         ids=["mstar-zero", "d-1000", "d-1e7", "tev-overflow", "radiation-overflow",
              "coupling-underflow", "d-1000-rh", "ratio-underflow", "mass-underflow",
-             "mass-overflow-static", "mass-overflow-rotating", "angmom-overflow-rotating"],
+             "mass-overflow-static", "mass-overflow-rotating", "angmom-overflow-rotating",
+             "hawking-temp-inf", "tev-size-inf", "geom-si-inf"],
     )
     def test_float_range_exits_3(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_PHYSICS
