@@ -95,6 +95,10 @@ def cmd_geom(args) -> int:
     if args.units == "si":
         scale = geometry.TEV_INV_TO_M / args.mstar  # treats lengths as multiples of 1/M_*
         lines["r_h_si_m"] = bh.r_h * scale
+        if lines["r_h_si_m"] == 0.0:  # r_h > 0 and --mstar is finite: an underflow
+            raise PhysicsDomainError(
+                f"r_h_si_m underflows to 0 for r_h={bh.r_h}, --mstar {args.mstar}"
+            )
     return _print_results(lines)
 
 

@@ -44,7 +44,10 @@ class CavitySpec:
 def radiation_density(temperature: float) -> float:
     """Thermal radiation energy density rho = alpha T^4 in J/m^3."""
     check_non_negative("temperature", temperature)
-    return STEFAN_ALPHA * temperature**4
+    rho = STEFAN_ALPHA * temperature**4
+    if rho == 0.0 and temperature != 0.0:  # T^4 underflowed; only T = 0 gives rho = 0
+        raise PhysicsDomainError(f"radiation density underflows to 0 for temperature={temperature}")
+    return rho
 
 
 def hawking_temperature_si(mass_kg: float) -> float:

@@ -4,13 +4,13 @@ Shared Bell resources and post-measurement states are assembled explicitly as
 real symmetric density matrices that store only their non-zero entries;
 partial transposes, eigenvalues (via the Jacobi kernel), negativities and
 fidelities are then computed numerically with no reference to any closed
-form.  The eigensolver never sees the whole matrix: negativity_numeric splits
-the non-zero pattern of the partial transpose into connected components,
-found generically by union-find over the labels, and diagonalises each
-component on its own with kernels.jacobi_eigh.  Everything is plain Python
-on floats, lists and dicts.  The bosonic Bell resource is refused with
-TruncationError when its analytic trace deficit, the probability mass beyond
-the truncation, exceeds the caller's tolerance.
+form.  The eigensolver never sees the whole matrix: block_spectra splits the
+non-zero pattern of a state, such as a partial transpose, into connected
+components, found generically by union-find over the labels, and
+diagonalises each component on its own with kernels.jacobi_eigh.
+Everything is plain Python on floats, lists and dicts.  The bosonic Bell
+resource is refused with TruncationError when its analytic trace deficit,
+the probability mass beyond the truncation, exceeds the caller's tolerance.
 
 The bosonic post-measurement state of the fidelity oracle is block diagonal
 in the excitation sectors k1 + k2 of the receiver's two modes, and
@@ -30,7 +30,11 @@ alone or on the direct sum of the blocks:
 - blockwise_negativity_bosonic(...) diagonalises each excitation sector as an
   isolated 4x4 block.  This is the decomposition whose negative eigenvalues
   are the closed-form family lambda_n, and whose sum reproduces the
-  closed-form series in channels.log_negativity_boson.
+  closed-form series in channels.log_negativity_boson.  The isolated blocks
+  are assembled as one direct sum whose party-B labels are tagged by their
+  sector, so they share no label: its one partial transpose has no block
+  that mixes sectors, and each sector's blocks are diagonalised as
+  components of that sum, with the entries and bits of the separate blocks.
 
 Both are reported side by side by reports.negativity_rows; the package never
 silently picks one.
@@ -39,6 +43,7 @@ silently picks one.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 from bhent.errors import ContractViolationError, PhysicsDomainError, TruncationError, check_integer
 from bhent.kernels import jacobi_eigh
@@ -149,23 +154,24 @@ def _check_bosonic_args(r: float, n_trunc: int) -> int:
     return check_integer("truncation", n_trunc, 2, MAX_TRUNC)
 
 
-def _bell_block_entries(r: float, n: int) -> dict:
+def _bell_block_entries(r: float, n: int, b0: Label, b1: Label) -> dict:
     """Entries of the excitation-sector-n block of the bosonic Bell resource.
 
     Hidden-region occupation n contributes the rank-one projector on the
-    labels (0, n) and (1, n+1), with entries {1, sqrt(n+1)/cosh r,
-    (n+1)/cosh^2 r} times tanh^(2n) r / (2 cosh^2 r).  The only formula for
-    the resource's entries: the blocks and the assembled state both read it.
+    labels (0, b0) and (1, b1), with entries {1, sqrt(n+1)/cosh r,
+    (n+1)/cosh^2 r} times tanh^(2n) r / (2 cosh^2 r); b0 and b1 are the
+    party-B labels of occupations n and n+1.  The only formula for the
+    resource's entries: the blocks and the assembled states all read it.
     """
     t = math.tanh(r)
     c = math.cosh(r)
     pref = t ** (2 * n) / (2.0 * c * c)
     off = pref * (math.sqrt(n + 1) / c)
     return {
-        ((0, n), (0, n)): pref,
-        ((0, n), (1, n + 1)): off,
-        ((1, n + 1), (0, n)): off,
-        ((1, n + 1), (1, n + 1)): pref * ((n + 1) / (c * c)),
+        ((0, b0), (0, b0)): pref,
+        ((0, b0), (1, b1)): off,
+        ((1, b1), (0, b0)): off,
+        ((1, b1), (1, b1)): pref * ((n + 1) / (c * c)),
     }
 
 
@@ -186,7 +192,7 @@ def bell_state_bosonic(
     basis = tuple((a, k) for a in (0, 1) for k in range(n_trunc + 2))
     entries: dict = {}
     for n in range(n_trunc + 1):
-        entries.update(_bell_block_entries(r, n))
+        entries.update(_bell_block_entries(r, n, n, n + 1))
     return TruncatedDensityMatrix(basis, entries)
 
 
@@ -200,7 +206,7 @@ def bell_block_bosonic(r: float, n: int) -> TruncatedDensityMatrix:
     check_boson_r(r)
     n = check_integer("block index", n, 0)
     basis = ((0, n), (0, n + 1), (1, n), (1, n + 1))
-    return TruncatedDensityMatrix(basis, _bell_block_entries(r, n))
+    return TruncatedDensityMatrix(basis, _bell_block_entries(r, n, n, n + 1))
 
 
 def bell_state_fermionic(r: float) -> TruncatedDensityMatrix:
@@ -263,20 +269,22 @@ def connected_blocks(rho: TruncatedDensityMatrix) -> list[list[Label]]:
     return list(blocks.values())
 
 
-def spectrum(rho: TruncatedDensityMatrix) -> list[float]:
-    """All eigenvalues in ascending order, one Jacobi solve per connected block.
+def block_spectra(rho: TruncatedDensityMatrix) -> Iterator[list[float]]:
+    """Eigenvalues of each connected block in turn, one Jacobi solve per block.
 
-    A single-label block is its own eigenvalue; zero rows give zeros.
+    A single-label block is its own eigenvalue.
     """
-    eig: list[float] = []
     for block in connected_blocks(rho):
         if len(block) == 1:
-            eig.append(rho.entries[(block[0], block[0])])
+            yield [rho.entries[(block[0], block[0])]]
         else:
-            m = [[rho.entries.get((i, j), 0.0) for j in block] for i in block]
-            eig.extend(jacobi_eigh(m))
-    eig.extend([0.0] * (rho.dim - len(eig)))
-    return sorted(eig)
+            yield jacobi_eigh([[rho.entries.get((i, j), 0.0) for j in block] for i in block])
+
+
+def spectrum(rho: TruncatedDensityMatrix) -> list[float]:
+    """All eigenvalues in ascending order: the block spectra, and a zero per zero row."""
+    eig = [e for eigenvalues in block_spectra(rho) for e in eigenvalues]
+    return sorted(eig + [0.0] * (rho.dim - len(eig)))
 
 
 class NumericNegativity:
@@ -298,20 +306,31 @@ def blockwise_negativity_bosonic(
 ) -> NumericNegativity:
     """Negativity from the isolated excitation-sector blocks.
 
-    Diagonalises the partial transpose of each bell_block_bosonic(r, n)
-    separately and sums the negative eigenvalues.  This matrix construction
-    is what the closed-form eigenvalue family and series describe; it differs
-    from the full-spectrum value of negativity_numeric (see module docstring).
-    The omitted blocks' negativity is bounded by the Bell resource's trace
-    deficit at truncation n_blocks, so TruncationError is raised when that
-    deficit exceeds max_deficit.  r and n_blocks are checked as in
-    bell_state_bosonic, before any block is built.
+    The blocks bell_block_bosonic(r, n), n = 0 .. n_blocks, are assembled as
+    one state: their direct sum, with party-B label k of block n tagged
+    (n, k) so that no two blocks share a label.  Its one partial transpose
+    then has no block that mixes sectors, and the negative eigenvalues are
+    summed block by block in basis order, with the entries, blocks and bits
+    of the separately transposed sector blocks.  This matrix construction is
+    what the closed-form eigenvalue family and series describe; it differs
+    from the full-spectrum value of negativity_numeric (see module
+    docstring).  The omitted blocks' negativity is bounded by the Bell
+    resource's trace deficit at truncation n_blocks, so TruncationError is
+    raised when that deficit exceeds max_deficit.  r and n_blocks are checked
+    as in bell_state_bosonic, before any block is built.
     """
     n_blocks = _check_bosonic_args(r, n_blocks)
     _check_truncation(r, n_blocks, _bosonic_trace_deficit(r, n_blocks), max_deficit)
-    total = 0.0
+    basis = []
+    entries = {}
     for n in range(n_blocks + 1):
-        total += negativity_numeric(bell_block_bosonic(r, n)).negativity
+        b0, b1 = (n, n), (n, n + 1)
+        basis += [(0, b0), (0, b1), (1, b0), (1, b1)]
+        entries.update(_bell_block_entries(r, n, b0, b1))
+    ppt = partial_transpose(TruncatedDensityMatrix(tuple(basis), entries))
+    total = 0.0
+    for eigenvalues in block_spectra(ppt):
+        total += math.fsum((abs(e) - e) / 2.0 for e in eigenvalues)
     return NumericNegativity(total, math.log2(2.0 * total + 1.0))
 
 

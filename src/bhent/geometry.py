@@ -359,8 +359,13 @@ def tev_scales(n: int, m_star_tev: float, m_bh_tev: float) -> dict[str, float]:
     check_positive("black hole mass", m_bh_tev)
     size_nat = (M_PLANCK_TEV / m_star_tev) ** (2.0 / n) / m_star_tev
     size = size_nat * TEV_INV_TO_M
-    g_d = m_star_tev ** (-(n + 2))
-    horizon_4n = horizon_from_mass(4 + n, g_d * m_bh_tev) * TEV_INV_TO_M
+    g_d_mass = m_star_tev ** (-(n + 2)) * m_bh_tev
+    if g_d_mass == 0.0 or g_d_mass == math.inf:
+        word = "underflows to 0" if g_d_mass == 0.0 else "overflows"
+        raise PhysicsDomainError(
+            f"G_(4+n) M = M_*^-(n+2) M_bh {word} for n={n}, --mstar {m_star_tev}, --mbh {m_bh_tev}"
+        )
+    horizon_4n = horizon_from_mass(4 + n, g_d_mass) * TEV_INV_TO_M
     horizon_4 = 2.0 * m_bh_tev / M_PLANCK_TEV**2 * TEV_INV_TO_M
     return {
         "R": size,

@@ -1,7 +1,12 @@
 """Eigenvalues of small real symmetric matrices by cyclic Jacobi rotations.
 
 Pure Python on lists of lists: the oracle hands the solver only the
-connected blocks of its sparse matrices, a few rows each.
+connected blocks of its sparse matrices, a few rows each.  The norms and
+the entry scans are plain loops in row-major order, one rounded addition or
+comparison per entry: the float operations, their order and the stopping
+tests are those of the sum() and max() generator expressions they replaced
+(up to Python 3.11; from 3.12 on sum() compensates float sums), so the
+eigenvalues keep their bits.
 """
 
 from __future__ import annotations
@@ -22,9 +27,12 @@ def _off_diagonal_norm(a: list[list[float]]) -> float:
     sqrt(eps) * ||A||_F, far above the stopping threshold, so the stopping
     test would then fire or fail by chance.
     """
-    return math.sqrt(
-        sum(x * x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
-    )
+    total = 0.0
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if i != j:
+                total += x * x
+    return math.sqrt(total)
 
 
 def _jacobi_sweeps(a: list[list[float]], tol: float, max_sweeps: int) -> int:
@@ -34,8 +42,11 @@ def _jacobi_sweeps(a: list[list[float]], tol: float, max_sweeps: int) -> int:
     norm did not drop below tol * ||A||_F within max_sweeps.
     """
     n = len(a)
-    norm = math.sqrt(sum(x * x for row in a for x in row))
-    thresh = tol * norm
+    total = 0.0
+    for row in a:
+        for x in row:
+            total += x * x
+    thresh = tol * math.sqrt(total)
     skip = thresh / max(n, 1)
 
     for sweep in range(max_sweeps):
@@ -78,9 +89,21 @@ def jacobi_eigh(matrix: Sequence[Sequence[float]]) -> list[float]:
         raise ContractViolationError(
             f"expected a square matrix, got {n} rows of lengths {[len(row) for row in a]}"
         )
-    largest = max((abs(x) for row in a for x in row), default=0.0)
+    # One row-major pass for the largest magnitude and the largest asymmetry
+    # |a[i][j] - a[j][i]| over j < i.  Each starts from its scan's first
+    # value and is replaced only by a strictly larger one, as max() does, so
+    # a nan first value is kept as max() keeps it.
+    largest = abs(a[0][0]) if n else 0.0
+    asym = abs(a[1][0] - a[0][1]) if n > 1 else 0.0
+    for i, row in enumerate(a):
+        for x in row:
+            if abs(x) > largest:
+                largest = abs(x)
+        for j in range(i):
+            d = abs(row[j] - a[j][i])
+            if d > asym:
+                asym = d
     scale = max(largest, 1.0)
-    asym = max((abs(a[i][j] - a[j][i]) for i in range(n) for j in range(i)), default=0.0)
     if asym > 1e-10 * scale:
         raise ContractViolationError(f"matrix asymmetry {asym} exceeds contract (scale {scale})")
 

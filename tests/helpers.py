@@ -1,8 +1,11 @@
 """Shared test helpers (not collected: the file name does not start with test_)."""
 
 import math
+from unittest import mock
 
 import numpy as np
+
+from bhent import fock_oracle
 
 
 def dense(rho):
@@ -41,3 +44,31 @@ def reference_post_state(r, qubit, outcome, n_trunc):
 def sector_items(items, sector):
     """The reference items whose labels lie in the excitation sector, in order."""
     return [(k, v) for k, v in items if sum(k[0]) == sector]
+
+
+def traced_blockwise(r, n_blocks, max_deficit=fock_oracle.DEFAULT_MAX_DEFICIT):
+    """blockwise_negativity_bosonic with two fock_oracle globals wrapped.
+
+    TruncatedDensityMatrix and partial_transpose are replaced on the module,
+    as the benchmark's tracer replaces them, by functions that record what
+    they return.  Returns (result, states built, partial transposes formed);
+    partial_transpose builds its result through TruncatedDensityMatrix, so
+    that state is recorded in both lists.
+    """
+    built, transposed = [], []
+    build, transpose = fock_oracle.TruncatedDensityMatrix, fock_oracle.partial_transpose
+
+    def recording_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def recording_transpose(rho):
+        transposed.append(transpose(rho))
+        return transposed[-1]
+
+    with (
+        mock.patch.object(fock_oracle, "TruncatedDensityMatrix", recording_build),
+        mock.patch.object(fock_oracle, "partial_transpose", recording_transpose),
+    ):
+        result = fock_oracle.blockwise_negativity_bosonic(r, n_blocks, max_deficit)
+    return result, built, transposed

@@ -5,7 +5,7 @@ import pytest
 
 from bhent import channels, fock_oracle, kernels
 from bhent.errors import ContractViolationError, PhysicsDomainError, TruncationError
-from helpers import dense, reference_post_state, sector_items
+from helpers import dense, reference_post_state, sector_items, traced_blockwise
 
 
 def _entries(basis, matrix):
@@ -141,6 +141,19 @@ class TestBlockwiseOracle:
         coarse = fock_oracle.blockwise_negativity_bosonic(r, 40).log_negativity
         fine = fock_oracle.blockwise_negativity_bosonic(r, 80).log_negativity
         assert abs(fine - coarse) < 1e-10
+
+    @pytest.mark.parametrize("n_blocks", [2, 40, 200])
+    def test_one_state_and_one_partial_transpose(self, n_blocks):
+        # Counted through the module globals the benchmark's tracer wraps: the
+        # direct sum of the sector blocks, and its partial transpose, which
+        # partial_transpose builds through TruncatedDensityMatrix too.
+        r = math.atanh(0.3)
+        result, built, transposed = traced_blockwise(r, n_blocks, max_deficit=1.0)
+        assert len(built) == 2 and len(transposed) == 1
+        assert built[1] is transposed[0]
+        assert built[0].dim == 4 * (n_blocks + 1)
+        plain = fock_oracle.blockwise_negativity_bosonic(r, n_blocks, max_deficit=1.0)
+        assert result.negativity == plain.negativity
 
 
 class TestFermionicOracle:

@@ -16,8 +16,8 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from bhent import channels, fock_oracle, kernels, modes
-from bhent.errors import PhysicsDomainError
-from helpers import reference_post_state, sector_items
+from bhent.errors import PhysicsDomainError, TruncationError
+from helpers import reference_post_state, sector_items, traced_blockwise
 
 SERIES_LIMIT = math.log2(1.0 + math.sqrt(math.pi) / 2.0)
 # Rounding slack: at t = 1 - 2^-52 the exact E_N exceeds SERIES_LIMIT by
@@ -263,6 +263,57 @@ def test_blockwise_oracle_matches_series(tanh_r):
     oracle = fock_oracle.blockwise_negativity_bosonic(r, trunc, GATE).log_negativity
     series = channels.log_negativity_boson(r, GATE / 10.0).value
     assert abs(oracle - series) < GATE
+
+
+# blockwise_negativity_bosonic diagonalises the sector blocks as components of
+# one direct sum: its value must equal, to the bit, the sequential sum over
+# n <= n_blocks of each separate block's full-spectrum negativity, wherever
+# the deficit gate passes; where it does not, both refuse the truncation.
+blockwise_draws = dict(
+    tanh_r=st.floats(min_value=0.0, max_value=0.95),
+    n_blocks=st.integers(min_value=2, max_value=fock_oracle.MAX_TRUNC),
+)
+
+
+@seed(21)
+@settings(max_examples=100, deadline=2000, database=None)
+@given(**blockwise_draws)
+@example(tanh_r=0.0, n_blocks=2)
+@example(tanh_r=0.95, n_blocks=200)
+def test_blockwise_negativity_is_the_sum_of_its_blocks(tanh_r, n_blocks):
+    r = math.atanh(tanh_r)
+    if fock_oracle._bosonic_trace_deficit(r, n_blocks) > fock_oracle.DEFAULT_MAX_DEFICIT:
+        with pytest.raises(TruncationError):
+            fock_oracle.blockwise_negativity_bosonic(r, n_blocks)
+        return
+    total = 0.0
+    for n in range(n_blocks + 1):
+        total += fock_oracle.negativity_numeric(fock_oracle.bell_block_bosonic(r, n)).negativity
+    result = fock_oracle.blockwise_negativity_bosonic(r, n_blocks)
+    assert result.negativity.hex() == total.hex()
+    assert result.log_negativity.hex() == math.log2(2.0 * total + 1.0).hex()
+
+
+# The labels of the assembled direct sum are (a, (n, k)), party-B label k of
+# sector n tagged by n: its partial transpose must split into blocks of one
+# sector each, and, with the tags dropped, into the blocks of that sector's
+# own partial transpose, in the same order.
+@seed(22)
+@settings(max_examples=60, deadline=2000, database=None)
+@given(**blockwise_draws)
+def test_blockwise_blocks_lie_in_one_sector(tanh_r, n_blocks):
+    r = math.atanh(tanh_r)
+    _, _, (ppt,) = traced_blockwise(r, n_blocks, max_deficit=1.0)
+    blocks = fock_oracle.connected_blocks(ppt)
+    assert all(len({n for _, (n, _) in block}) == 1 for block in blocks)
+    expected = [
+        [(a, (n, k)) for a, k in block]
+        for n in range(n_blocks + 1)
+        for block in fock_oracle.connected_blocks(
+            fock_oracle.partial_transpose(fock_oracle.bell_block_bosonic(r, n))
+        )
+    ]
+    assert blocks == expected
 
 
 # bob_post_state_bosonic builds the excitation sector k1 + k2 = 1 of the

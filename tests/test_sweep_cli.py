@@ -477,6 +477,42 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
+            (["geom", "--n", "9", "--mu", "1e-300", "--units", "si", "--mstar", "1e300"],
+             "r_h_si_m underflows to 0"),
+            (["estimate", "radiation-density", "--temp", "1e-300"],
+             "radiation density underflows to 0"),
+            (["tev", "--n", "1", "--mstar", "1e300", "--mbh", "1"],
+             "M_*^-(n+2) M_bh underflows to 0 for n=1, --mstar 1e+300, --mbh 1.0"),
+            (["tev", "--n", "1", "--mstar", "1e-100", "--mbh", "1e300"],
+             "M_*^-(n+2) M_bh overflows for n=1, --mstar 1e-100, --mbh 1e+300"),
+        ],
+        ids=["geom-si-underflow", "radiation-underflow", "tev-mass-underflow",
+             "tev-mass-overflow"],
+    )
+    def test_vanishing_point_result_exits_3(self, argv, message, capsys):
+        # a product of nonzero finite factors that rounds to 0 is no result
+        assert cli.main(argv) == cli.EXIT_PHYSICS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["estimate", "radiation-density", "--temp", "0"], "rho_J_per_m3 = 0"),
+            (["geom", "--d", "4", "--mass", "1", "--units", "si", "--mstar", "1"], "J = 0"),
+            (["geom", "--n", "9", "--mu", "1e-300"], "Omega = 0"),
+        ],
+        ids=["radiation-at-zero", "static-J", "static-Omega"],
+    )
+    def test_exact_zeros_still_print(self, argv, line, capsys):
+        assert cli.main(argv) == cli.EXIT_OK
+        assert line in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
             (["geom", "--n", "0", "--mu", "2e-200", "--a", "1e-199"], "no horizon"),
             (["geom", "--n", "0", "--mu", "1e300", "--a", "1e300"], "no horizon"),
             (["geom", "--n", "0", "--mu", "2e-200"], "horizon underflows"),
