@@ -24,6 +24,9 @@ The bosonic fidelity is implemented with the exponent exactly as the closed
 form states (-pi omega/kappa).  The constructive oracle disagrees with it
 (it reproduces cosh^-6 r = (1 - exp(-2 pi omega/kappa))^3); the discrepancy
 is surfaced in reports.fidelity_boson_rows, never silently reconciled.
+
+sweep.OUTPUTS picks each figure's form for a mode's statistics; the entangle
+and teleport commands read the same forms.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ _ZETA_BOUND_0 = 2.0 * 2.612375348685488 * _GAMMA_3_2 / (2.0 * math.pi) ** 1.5
 
 
 class NegativityResult:
-    """Logarithmic negativity with series bookkeeping; equal when all three fields are."""
+    """Logarithmic negativity with series bookkeeping."""
 
     __slots__ = ("value", "terms_used", "tail_bound")
 
@@ -80,13 +83,6 @@ class NegativityResult:
         self.value = value
         self.terms_used = terms_used
         self.tail_bound = tail_bound
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not NegativityResult:
-            return NotImplemented
-        return (self.value, self.terms_used, self.tail_bound) == (
-            other.value, other.terms_used, other.tail_bound
-        )
 
 
 def neg_eigenvalue_boson(r: float, n: int) -> float:
@@ -187,28 +183,6 @@ def fidelity_fermion(r: float | modes.SqueezingParams) -> float:
         return cos_r * cos_r
     modes.check_fermion_r(r)
     return math.cos(r) ** 2
-
-
-def mode_point(
-    omega: float, m: int, statistics: str, kappa: float, omega_h: float, tol: float
-) -> tuple[float, float, float, NegativityResult]:
-    """Figures of merit of one mode near a horizon with (kappa, omega_h).
-
-    Returns (r, N_occ, F, E_N).  E_N is a NegativityResult; for fermions
-    the closed form is exact, so terms_used and tail_bound are 0.  tol is
-    the bosonic series tolerance, checked for both statistics.
-    """
-    check_series_tol(tol)
-    mode = modes.ModeSpec(omega, m, statistics)
-    omega_eff = modes.effective_frequency(mode, omega_h)
-    sq = modes.squeeze(omega_eff, kappa, statistics)
-    if statistics == modes.BOSON:
-        e_n = log_negativity_boson(sq.r, tol)
-        fid = fidelity_boson(sq)
-    else:
-        e_n = NegativityResult(log_negativity_fermion(sq.r), 0, 0.0)
-        fid = fidelity_fermion(sq)
-    return sq.r, sq.occupation, fid, e_n
 
 
 def check_series_tol(tol: float) -> None:

@@ -18,11 +18,11 @@ a malformed or unknown config line (one parser reads both), an oracle-check
 --tol outside ten times the series range, and a sweep spec with a
 non-integer d/n/m, an unknown statistics, a parameter given twice (each is
 an axis or fixed), an output named twice, no complete geometry route, a
-fixed geometry with no hole, or no frequency; 4 unreadable config or
-unwritable output path; 5 oracle contract mismatch or a truncation too small
-for the gate (the oracle's trace deficit exceeds --tol); 6 internal contract
-violation (a numerical self-check failed, e.g. Jacobi non-convergence or a
-horizon residual).
+fixed geometry with no hole, or no frequency or two; 4 unreadable config
+or unwritable output path; 5 oracle contract mismatch or a truncation too
+small for the gate (the oracle's trace deficit exceeds --tol); 6 internal
+contract violation (a numerical self-check failed, e.g. Jacobi
+non-convergence or a horizon residual).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import sys
 
 from bhent import channels, geometry, modes, sweep
 from bhent.errors import ContractViolationError, PhysicsDomainError, TruncationError
+from bhent.errors import check_positive
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -105,30 +106,32 @@ def cmd_geom(args) -> int:
 # ------------------------------------------------------------- mode points
 
 
-def _horizon(args) -> tuple[float, float]:
-    """(kappa, Omega): --kappa/--Omega if given, else the hole's."""
+def _squeezed(args) -> modes.SqueezingParams:
+    """The flags' mode, squeezed as a sweep cell's is, at --kappa/--Omega or else the hole's."""
     if args.kappa is not None:
-        return args.kappa, args.Omega
-    bh = _hole(args)
-    return bh.kappa, bh.omega_h
+        kappa, omega_h = args.kappa, args.Omega
+    else:
+        bh = _hole(args)
+        kappa, omega_h = bh.kappa, bh.omega_h
+    mode = modes.ModeSpec(args.omega, args.m, args.statistics)
+    return modes.squeeze(modes.effective_frequency(mode, omega_h), kappa, args.statistics)
 
 
 def cmd_entangle(args) -> int:
-    r, n_occ, _, e_n = channels.mode_point(
-        args.omega, args.m, args.statistics, *_horizon(args), args.tol
-    )
-    lines = {"E_N": e_n.value}
-    if args.statistics == modes.BOSON:
-        lines.update(terms_used=e_n.terms_used, tail_bound=e_n.tail_bound)
-    lines.update(r=r, N_occ=n_occ)
-    return _print_results(lines)
+    channels.check_series_tol(args.tol)  # a flag, checked for both statistics
+    sq = _squeezed(args)
+    if args.statistics == modes.BOSON:  # the series, and what it did
+        e_n = channels.log_negativity_boson(sq.r, args.tol)
+        lines = {"E_N": e_n.value, "terms_used": e_n.terms_used, "tail_bound": e_n.tail_bound}
+    else:
+        lines = {"E_N": channels.log_negativity_fermion(sq.r)}
+    return _print_results({**lines, "r": sq.r, "N_occ": sq.occupation})
 
 
 def cmd_teleport(args) -> int:
-    r, _, fid, _ = channels.mode_point(
-        args.omega, args.m, args.statistics, *_horizon(args), channels.DEFAULT_SERIES_TOL
-    )
-    return _print_results({"F": fid, "r": r})
+    sq = _squeezed(args)
+    fid = sweep.OUTPUTS["F"](None, sq, args.statistics, None)  # F reads no hole and no tol
+    return _print_results({"F": fid, "r": sq.r})
 
 
 # ------------------------------------------------------------------ sweep
@@ -241,9 +244,14 @@ def cmd_oracle_check(args) -> int:
 def cmd_estimate(args) -> int:
     from bhent import estimates  # imported here, as the oracle is in oracle-check
 
+    mass = None
+    if args.msun is not None:  # checked here, so that no error names a mass in kg
+        check_positive("--msun", args.msun)
+        mass = args.msun * estimates.M_SUN
+        if mass == math.inf:
+            raise PhysicsDomainError(f"--msun {args.msun} overflows as a mass in kg")
     if args.what == "coupling-time":
         cavity = estimates.CavitySpec(args.dl, args.vc)
-        mass = args.msun * estimates.M_SUN if args.msun is not None else None
         res = estimates.coupling_time(mass, cavity, args.tbh)
         lines = {
             "t_s": res.time_s,
@@ -256,7 +264,7 @@ def cmd_estimate(args) -> int:
     elif args.what == "hawking-temp":
         if args.msun is None:
             raise PhysicsDomainError("hawking-temp needs --msun")
-        lines = {"T_bh_K": estimates.hawking_temperature_si(args.msun * estimates.M_SUN)}
+        lines = {"T_bh_K": estimates.hawking_temperature_si(mass)}
     else:  # radiation-density
         if args.temp is None:
             raise PhysicsDomainError("radiation-density needs --temp")
@@ -311,7 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid sweep to CSV")
     p.add_argument("--axis", action="append", help="name:lo:hi:count[:scale]")
     p.add_argument("--fixed", action="append", help="key=value")
-    p.add_argument("--output", help="comma-separated outputs (kappa,Omega,r,N_occ,E_N,F)")
+    p.add_argument(
+        "--output", help=f"comma-separated outputs ({','.join(sweep.OUTPUT_VOCABULARY)})"
+    )
     p.add_argument("--config", help="key = value config file; flags override")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_sweep)

@@ -367,10 +367,21 @@ def tev_scales(n: int, m_star_tev: float, m_bh_tev: float) -> dict[str, float]:
         )
     horizon_4n = horizon_from_mass(4 + n, g_d_mass) * TEV_INV_TO_M
     horizon_4 = 2.0 * m_bh_tev / M_PLANCK_TEV**2 * TEV_INV_TO_M
-    return {
-        "R": size,
-        "r_h_4n": horizon_4n,
-        "r_h_4": horizon_4,
-        "ratio_4_over_4n": (horizon_4n / size) ** n,
-        "ratio_direct": horizon_4 / horizon_4n,
-    }
+    scales = {"R": size, "r_h_4n": horizon_4n, "r_h_4": horizon_4}
+    _check_scales(scales, n, m_star_tev, m_bh_tev)  # before a ratio reads one
+    ratios = {"ratio_4_over_4n": (horizon_4n / size) ** n, "ratio_direct": horizon_4 / horizon_4n}
+    _check_scales(ratios, n, m_star_tev, m_bh_tev)
+    return {**scales, **ratios}
+
+
+def _check_scales(values: dict, n: int, m_star_tev: float, m_bh_tev: float) -> None:
+    """Refuse a tev_scales value that rounds to 0 or overflows.
+
+    Each is a product or quotient of nonzero finite factors, so neither is a result.
+    """
+    for name, value in values.items():
+        if value == 0.0 or value == math.inf:
+            word = "underflows to 0" if value == 0.0 else "overflows"
+            raise PhysicsDomainError(
+                f"{name} {word} for n={n}, --mstar {m_star_tev}, --mbh {m_bh_tev}"
+            )

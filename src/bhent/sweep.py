@@ -14,6 +14,9 @@ parameters (GEOMETRY_PARAMETERS) equal the previous cell's reuses that cell's
 hole, or its NA token, instead of resolving it again; so a grid with its
 frequency axis last solves each hole once.  The reuse changes no byte of
 the CSV.
+
+evaluate_cell computes only the outputs a sweep asks for, each as OUTPUTS
+defines it.
 """
 
 from __future__ import annotations
@@ -28,10 +31,11 @@ from bhent import channels, geometry, modes
 from bhent.errors import NakedSingularityError, PhysicsDomainError, SuperradiantModeError
 from bhent.errors import check_integer, check_positive
 
-PARAMETER_VOCABULARY = frozenset(
-    {"d", "n", "M", "mu", "r_h", "a", "a_star", "omega", "omega_rh", "m", "statistics", "tol"}
-)
-OUTPUT_VOCABULARY = ("kappa", "Omega", "r", "N_occ", "E_N", "F")
+# The parameters resolve_geometry reads: cells that agree on these share a hole.
+GEOMETRY_PARAMETERS = frozenset({"d", "n", "M", "mu", "r_h", "a", "a_star"})
+# Each frequency parameter, and the frequency at infinity its value gives on a hole.
+FREQUENCIES = {"omega": lambda omega, bh: omega, "omega_rh": lambda w_rh, bh: w_rh / bh.r_h}
+PARAMETER_VOCABULARY = GEOMETRY_PARAMETERS.union(FREQUENCIES, ("m", "statistics", "tol"))
 INTEGER_PARAMETERS = frozenset({"d", "n", "m"})
 
 
@@ -108,8 +112,12 @@ class SweepSpec:
         gap = geometry_gap(names)
         if gap:
             raise PhysicsDomainError(gap)
-        if not {"omega", "omega_rh"}.intersection(names):
-            raise PhysicsDomainError("a sweep needs omega or omega_rh")
+        frequencies = [name for name in FREQUENCIES if name in names]
+        if len(frequencies) != 1:  # of two, a cell would read one and ignore the other
+            needs = "a sweep needs " + " or ".join(FREQUENCIES)
+            raise PhysicsDomainError(
+                f"{needs}, not {' and '.join(frequencies)}" if frequencies else needs
+            )
         if GEOMETRY_PARAMETERS.isdisjoint(ax.name for ax in axes):
             resolve_geometry(fixed)  # the hole of every cell: refused here, not as all-NA
         self.axes = axes
@@ -131,10 +139,6 @@ def _token_for(exc: ArithmeticError | PhysicsDomainError) -> str:
     if isinstance(exc, NakedSingularityError):
         return "NA:naked_singularity"
     return "NA:domain"
-
-
-# The parameters resolve_geometry reads: cells that agree on these share a hole.
-GEOMETRY_PARAMETERS = frozenset({"d", "n", "M", "mu", "r_h", "a", "a_star"})
 
 
 def geometry_gap(names) -> str:
@@ -168,34 +172,62 @@ def resolve_geometry(params: dict) -> geometry.SchwarzschildBH | geometry.Rotati
     raise PhysicsDomainError(geometry_gap(params))
 
 
+def _log_negativity(bh, sq: modes.SqueezingParams, statistics: str, tol: float) -> float:
+    if statistics == modes.BOSON:
+        return channels.log_negativity_boson(sq.r, tol).value
+    return channels.log_negativity_fermion(sq.r)
+
+
+def _fidelity(bh, sq: modes.SqueezingParams, statistics: str, tol: float) -> float:
+    if statistics == modes.BOSON:
+        return channels.fidelity_boson(sq)
+    return channels.fidelity_fermion(sq)
+
+
+# Each output, in column order, as a function of one cell's hole, SqueezingParams,
+# statistics and tol.  None raises once modes.squeeze has passed, so asking for
+# fewer outputs changes no column's text.
+OUTPUTS = {
+    "kappa": lambda bh, sq, statistics, tol: bh.kappa,
+    "Omega": lambda bh, sq, statistics, tol: bh.omega_h,
+    "r": lambda bh, sq, statistics, tol: sq.r,
+    "N_occ": lambda bh, sq, statistics, tol: sq.occupation,
+    "E_N": _log_negativity,
+    "F": _fidelity,
+}
+OUTPUT_VOCABULARY = tuple(OUTPUTS)
+
+
 def evaluate_cell(
-    params: dict, bh: geometry.SchwarzschildBH | geometry.RotatingBH | str
+    params: dict, bh: geometry.SchwarzschildBH | geometry.RotatingBH | str, outputs: tuple
 ) -> dict[str, float | str]:
-    """Evaluate every supported output for one grid cell.
+    """Evaluate the named outputs for one grid cell of a checked SweepSpec.
 
     `bh` is the hole resolve_geometry(params) returns, or the NA token of
     the PhysicsDomainError, OverflowError or ZeroDivisionError it raises.
+    Every cell is squeezed, so an NA cell writes its token in each column.
     Returns finite floats, or NA tokens for cells outside the physical
     domain.  Pure function of its arguments; cells are independent.
     """
     if isinstance(bh, str):
-        return {name: bh for name in OUTPUT_VOCABULARY}
+        return dict.fromkeys(outputs, bh)
     statistics = params.get("statistics", modes.BOSON)
-    m = params.get("m", 0)
     tol = params.get("tol", channels.DEFAULT_SERIES_TOL)
     try:
-        if "omega" in params:
-            omega = params["omega"]
-        elif "omega_rh" in params:
-            omega = params["omega_rh"] / bh.r_h
+        for name, to_omega in FREQUENCIES.items():
+            if name in params:
+                omega = to_omega(params[name], bh)
+                break
         else:
-            raise PhysicsDomainError("cell needs omega or omega_rh")
-        kappa = bh.kappa
-        r, n_occ, fid, neg = channels.mode_point(omega, m, statistics, kappa, bh.omega_h, tol)
+            raise PhysicsDomainError("cell needs " + " or ".join(FREQUENCIES))
+        mode = modes.ModeSpec(omega, params.get("m", 0), statistics)
+        sq = modes.squeeze(modes.effective_frequency(mode, bh.omega_h), bh.kappa, statistics)
+        cell = {}
+        for name in outputs:  # a loop: on Python 3.11 a comprehension frame costs ~4% of a cell
+            cell[name] = OUTPUTS[name](bh, sq, statistics, tol)
+        return cell
     except PhysicsDomainError as exc:  # physics errors become data
-        token = _token_for(exc)
-        return {name: token for name in OUTPUT_VOCABULARY}
-    return {"kappa": kappa, "Omega": bh.omega_h, "r": r, "N_occ": n_occ, "E_N": neg.value, "F": fid}
+        return dict.fromkeys(outputs, _token_for(exc))
 
 
 def format_value(value) -> str:
@@ -228,7 +260,7 @@ def cells(spec: SweepSpec):
                 bh = resolve_geometry(params)
             except (PhysicsDomainError, OverflowError, ZeroDivisionError) as exc:
                 bh = _token_for(exc)  # a token, not the exception: no traceback grows
-        yield coords, coord_texts, evaluate_cell(params, bh)
+        yield coords, coord_texts, evaluate_cell(params, bh, spec.outputs)
 
 
 def run_sweep(spec: SweepSpec, path: str) -> int:
@@ -237,7 +269,7 @@ def run_sweep(spec: SweepSpec, path: str) -> int:
     with _rewritten(path) as fh:
         fh.write(",".join(spec.header()) + "\n")
         for _, coord_texts, cell in cells(spec):
-            out = list(coord_texts) + [format_value(cell[o]) for o in spec.outputs]
+            out = list(coord_texts) + [format_value(v) for v in cell.values()]
             fh.write(",".join(out) + "\n")
             rows += 1
     return rows

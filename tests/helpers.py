@@ -8,6 +8,20 @@ import numpy as np
 from bhent import fock_oracle
 
 
+class Horizon:
+    """A stand-in hole with a chosen kappa and Omega, for sweep.evaluate_cell.
+
+    A cell that gives omega reads nothing else of its hole; one that gives
+    omega_rh also reads r_h.
+    """
+
+    __slots__ = ("kappa", "omega_h")
+
+    def __init__(self, kappa, omega_h=0.0):
+        self.kappa = kappa
+        self.omega_h = omega_h
+
+
 def dense(rho):
     """The full matrix of a fock_oracle.TruncatedDensityMatrix, in basis order."""
     idx = {lbl: k for k, lbl in enumerate(rho.basis)}

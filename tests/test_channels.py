@@ -1,11 +1,13 @@
 import math
 import random
+from types import SimpleNamespace
 
 import mpmath
 import pytest
 
-from bhent import channels, modes, sweep
-from bhent.errors import PhysicsDomainError, SuperradiantModeError
+from bhent import channels, cli, modes, sweep
+from bhent.errors import PhysicsDomainError
+from helpers import Horizon
 
 SERIES_LIMIT = math.log2(1.0 + math.sqrt(math.pi) / 2.0)
 
@@ -119,7 +121,9 @@ class TestNonFiniteInputs:
             lambda: channels.neg_eigenvalue_boson(0.5, math.inf),
             lambda: channels.fidelity_boson(modes.squeeze_boson(math.nan, 1.0)),
             lambda: channels.fidelity_boson(modes.squeeze_boson(1.0, math.inf)),
-            lambda: channels.mode_point(1.0, 0.5, modes.BOSON, 1.0, 0.0, 1e-10),
+            lambda: cli._squeezed(
+                SimpleNamespace(omega=1.0, m=0.5, statistics=modes.BOSON, kappa=1.0, Omega=0.0)
+            ),
         ],
         ids=["E_N-r-nan", "E_N-r-inf", "lambda-r-nan", "lambda-n-inf", "F-omega-nan",
              "F-kappa-inf", "mode-m-half"],
@@ -251,19 +255,27 @@ class TestMiniBHBounds:
 
 
 class TestModePoint:
+    """One mode's figures of merit, as a sweep cell evaluates them from OUTPUTS."""
+
+    @staticmethod
+    def cell(omega, m, statistics, kappa, omega_h, tol, outputs=sweep.OUTPUT_VOCABULARY):
+        params = {"omega": omega, "m": m, "statistics": statistics, "tol": tol}
+        return sweep.evaluate_cell(params, Horizon(kappa, omega_h), outputs)
+
     @pytest.mark.parametrize("statistics", [modes.BOSON, modes.FERMION])
     def test_matches_the_closed_forms(self, statistics):
         # omega_eff = 1.5 - 2 * 0.25 = 1
-        r, n_occ, fid, e_n = channels.mode_point(1.5, 2, statistics, 0.8, 0.25, 1e-12)
+        cell = self.cell(1.5, 2, statistics, 0.8, 0.25, 1e-12)
         sq = modes.squeeze(1.0, 0.8, statistics)
-        assert r == sq.r
-        assert n_occ == sq.occupation
+        assert (cell["kappa"], cell["Omega"]) == (0.8, 0.25)
+        assert cell["r"] == sq.r
+        assert cell["N_occ"] == sq.occupation
         if statistics == modes.BOSON:
-            assert e_n == channels.log_negativity_boson(sq.r, 1e-12)
-            assert fid == channels.fidelity_boson(sq)
+            assert cell["E_N"] == channels.log_negativity_boson(sq.r, 1e-12).value
+            assert cell["F"] == channels.fidelity_boson(sq)
         else:
-            assert e_n == channels.NegativityResult(channels.log_negativity_fermion(sq.r), 0, 0.0)
-            assert fid == channels.fidelity_fermion(sq)
+            assert cell["E_N"] == channels.log_negativity_fermion(sq.r)
+            assert cell["F"] == channels.fidelity_fermion(sq)
 
     @pytest.mark.parametrize("statistics", [modes.BOSON, modes.FERMION])
     def test_checks_the_ratio_once(self, statistics, monkeypatch):
@@ -275,15 +287,17 @@ class TestModePoint:
             return check(omega_eff, kappa)
 
         monkeypatch.setattr(modes, "_check_ratio", counted)
-        channels.mode_point(1.5, 2, statistics, 0.8, 0.25, 1e-12)
+        self.cell(1.5, 2, statistics, 0.8, 0.25, 1e-12)
         assert calls == [(1.0, 0.8)]
 
     def test_domain_errors(self):
-        with pytest.raises(SuperradiantModeError):
-            channels.mode_point(0.5, 2, modes.BOSON, 1.0, 0.25, 1e-10)
-        with pytest.raises(PhysicsDomainError):
-            channels.mode_point(1.0, 0, "bosn", 1.0, 0.0, 1e-10)
-        with pytest.raises(PhysicsDomainError):
-            channels.mode_point(1.0, 0, modes.BOSON, 1.0, 0.0, 0.5)
+        def tokens(*args):
+            return set(self.cell(*args).values())
+
+        assert tokens(0.5, 2, modes.BOSON, 1.0, 0.25, 1e-10) == {"NA:superradiant"}
+        assert tokens(1.0, 0, "bosn", 1.0, 0.0, 1e-10) == {"NA:domain"}
+        assert tokens(1.0, 0, modes.BOSON, 1.0, 0.0, 0.5) == {"NA:domain"}
+        # a cell reads tol only for the bosonic E_N; its SweepSpec checks it for both
         with pytest.raises(PhysicsDomainError, match="series tolerance"):
-            channels.mode_point(1.0, 0, modes.FERMION, 1.0, 0.0, 0.5)
+            sweep.SweepSpec((sweep.Axis("omega", 0.5, 1.0, 2),),
+                            {"d": 4, "r_h": 1.0, "statistics": modes.FERMION, "tol": 0.5})

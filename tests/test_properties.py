@@ -15,9 +15,9 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from bhent import channels, fock_oracle, kernels, modes
+from bhent import channels, fock_oracle, kernels, modes, sweep
 from bhent.errors import PhysicsDomainError, TruncationError
-from helpers import reference_post_state, sector_items, traced_blockwise
+from helpers import Horizon, reference_post_state, sector_items, traced_blockwise
 
 SERIES_LIMIT = math.log2(1.0 + math.sqrt(math.pi) / 2.0)
 # Rounding slack: at t = 1 - 2^-52 the exact E_N exceeds SERIES_LIMIT by
@@ -65,7 +65,7 @@ def test_bookkeeping_certifies_tol(r, tol):
         assert (result.terms_used, result.tail_bound) == (0, 0.0)
 
 
-# One mode at a time through channels.mode_point: E_N and F do not rise with
+# One mode at a time, as a sweep cell evaluates it: E_N and F do not rise with
 # kappa and do not fall with omega, for bosons and fermions alike (the
 # abstract's "choose a higher frequency mode").  x = pi omega_eff / kappa
 # spans 3e-4 to 3e4, so both S(t) evaluators and the x > 350 limit are drawn.
@@ -74,18 +74,25 @@ scales = st.floats(min_value=1e-2, max_value=1e2)
 corotation = st.tuples(st.integers(0, 2), st.floats(min_value=0.0, max_value=1.0))
 
 
+def _cell(omega, m, stats, kappa, omega_h, outputs=sweep.OUTPUT_VOCABULARY):
+    """The sweep cell of one mode near a horizon with (kappa, omega_h), default tol."""
+    params = {"omega": omega, "m": m, "statistics": stats}
+    return sweep.evaluate_cell(params, Horizon(kappa, omega_h), outputs)
+
+
 def _merit(omega_eff, m, omega_h, stats, kappa):
-    """(E_N result, F) at effective frequency omega_eff."""
-    _, _, fid, e_n = channels.mode_point(
-        omega_eff + m * omega_h, m, stats, kappa, omega_h, channels.DEFAULT_SERIES_TOL
-    )
-    return e_n, fid
+    """(E_N, its series tail bound, F) at effective frequency omega_eff."""
+    cell = _cell(omega_eff + m * omega_h, m, stats, kappa, omega_h, ("r", "E_N", "F"))
+    tail = 0.0  # the fermionic closed form is exact
+    if stats == modes.BOSON:
+        tail = channels.log_negativity_boson(cell["r"], channels.DEFAULT_SERIES_TOL).tail_bound
+    return cell["E_N"], tail, cell["F"]
 
 
 def _not_above(hi, lo):
-    (e_hi, f_hi), (e_lo, f_lo) = hi, lo
-    slack = (e_hi.tail_bound + e_lo.tail_bound) / math.log(2.0) + ROUNDING
-    assert e_hi.value <= e_lo.value + slack
+    (e_hi, tail_hi, f_hi), (e_lo, tail_lo, f_lo) = hi, lo
+    slack = (tail_hi + tail_lo) / math.log(2.0) + ROUNDING
+    assert e_hi <= e_lo + slack
     assert f_hi <= f_lo + ROUNDING
 
 
@@ -106,8 +113,9 @@ def test_mode_point_does_not_fall_with_omega(stats, w1, w2, kappa, rot):
 
 
 # Every mode either has finite figures of merit or is refused with the
-# documented PhysicsDomainError: x = pi omega_eff / kappa ranges from 0
-# (below the smallest normal float) to inf, and omega_eff may be <= 0.
+# documented PhysicsDomainError, which writes one NA token in every column:
+# x = pi omega_eff / kappa ranges from 0 (below the smallest normal float) to
+# inf, and omega_eff may be <= 0.
 log_uniform = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
 
 
@@ -121,16 +129,15 @@ log_uniform = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e
     m=st.integers(-2, 2),
 )
 def test_mode_point_finite_or_domain_error(stats, omega, kappa, omega_h, m):
-    try:
-        r, n_occ, fid, e_n = channels.mode_point(
-            omega, m, stats, kappa, omega_h, channels.DEFAULT_SERIES_TOL
-        )
-    except PhysicsDomainError:
+    values = list(_cell(omega, m, stats, kappa, omega_h).values())
+    if isinstance(values[0], str):
+        assert values[0] in ("NA:domain", "NA:superradiant")
+        assert values == [values[0]] * len(values)
         return
-    assert all(math.isfinite(v) for v in (r, n_occ, fid, e_n.value))
+    assert all(math.isfinite(v) for v in values)
 
 
-# mode_point checks x = pi omega_eff / kappa once and reads r, N^2 and F off
+# A sweep cell checks x = pi omega_eff / kappa once and reads r, N^2 and F off
 # one SqueezingParams.  _reference_mode evaluates each of the three from its
 # own closed form (F_fermion through cos r); the two must agree bit for bit
 # from the smallest normal x up past the x > 700 fidelity limit.
@@ -181,14 +188,81 @@ def _reference_mode(omega_eff, kappa, stats):
 def test_mode_point_matches_reference_bits(stats, x, kappa):
     omega_eff = x * kappa / math.pi
     expected = _reference_mode(omega_eff, kappa, stats)
+    cell = _cell(omega_eff, 0, stats, kappa, 0.0, ("r", "N_occ", "F"))
     if expected is None:
+        assert list(cell.values()) == ["NA:domain"] * 3
         with pytest.raises(PhysicsDomainError, match="underflows"):
-            channels.mode_point(omega_eff, 0, stats, kappa, 0.0, channels.DEFAULT_SERIES_TOL)
+            modes.squeeze(omega_eff, kappa, stats)
         return
-    r, n_occ, fid, _ = channels.mode_point(
-        omega_eff, 0, stats, kappa, 0.0, channels.DEFAULT_SERIES_TOL
+    assert [v.hex() for v in cell.values()] == [v.hex() for v in expected]
+
+
+# Once modes.squeeze has passed, E_N and F raise nothing, for any accepted tol
+# and either statistics.  So a sweep may compute them only when asked for: a
+# cell that is not NA in one column is NA in none.
+@seed(23)
+@PROPERTY
+@given(stats=statistics, x=ratios, kappa=scales, tol=tolerances)
+@example(stats=modes.BOSON, x=-math.log(0.9) / 2.0, kappa=1.0, tol=channels.MIN_SERIES_TOL)
+@example(stats=modes.BOSON, x=1e-20, kappa=1.0, tol=channels.MIN_SERIES_TOL)
+@example(stats=modes.FERMION, x=sys.float_info.min, kappa=1.0, tol=channels.MAX_SERIES_TOL)
+def test_figures_raise_nothing_once_squeezed(stats, x, kappa, tol):
+    try:
+        sq = modes.squeeze(x * kappa / math.pi, kappa, stats)
+    except PhysicsDomainError:
+        return
+    if stats == modes.BOSON:
+        figures = channels.log_negativity_boson(sq.r, tol).value, channels.fidelity_boson(sq)
+    else:
+        figures = channels.log_negativity_fermion(sq.r), channels.fidelity_fermion(sq)
+    assert all(math.isfinite(v) for v in figures)
+
+
+@st.composite
+def sweep_specs(draw):
+    """A small static or rotating sweep, with naked and superradiant corners."""
+    stats = draw(statistics)
+    frequency = sweep.Axis(
+        draw(st.sampled_from(list(sweep.FREQUENCIES))),
+        draw(st.floats(0.05, 1.0)), draw(st.floats(1.0, 3.0)), draw(st.integers(2, 3)),
     )
-    assert [v.hex() for v in (r, n_occ, fid)] == [v.hex() for v in expected]
+    if draw(st.booleans()):
+        fixed = {"d": draw(st.integers(4, 11))}
+        lo, hi = draw(st.floats(0.1, 1.0)), draw(st.floats(1.0, 10.0))
+        geometry = sweep.Axis(draw(st.sampled_from(["r_h", "M"])), lo, hi, 2, "log")
+    else:  # a = mu/2 on is naked at n = 0, and a^2 = mu on at n = 1
+        mu = draw(st.floats(0.5, 4.0))
+        fixed = {"n": draw(st.integers(0, 3)), "mu": mu, "m": draw(st.integers(0, 2))}
+        spin = draw(st.sampled_from(["a", "a_star"]))
+        geometry = sweep.Axis(spin, 0.0, draw(st.floats(0.1, 1.5)) * mu, draw(st.integers(2, 4)))
+    fixed["statistics"] = stats
+    axes = (geometry, frequency) if draw(st.booleans()) else (frequency, geometry)
+    outputs = draw(st.lists(st.sampled_from(sweep.OUTPUT_VOCABULARY), min_size=1, unique=True))
+    return sweep.SweepSpec(axes, fixed, tuple(outputs))
+
+
+def _csv_rows(spec, path):
+    sweep.run_sweep(spec, path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [line.split(",") for line in fh.read().split("\n")[:-1]]
+
+
+@seed(24)
+@settings(max_examples=150, deadline=500, database=None)
+@given(spec=sweep_specs())
+# NA:domain twice: the d = 1000 hole overflows, and at d = 4 x = pi omega/kappa underflows
+@example(spec=sweep.SweepSpec(
+    (sweep.Axis("d", 4, 1000, 2), sweep.Axis("omega", 1e-300, 1.0, 2)),
+    {"M": 1e-300}, ("F", "kappa"),
+))
+def test_requested_outputs_match_the_full_sweep(spec, tmp_path_factory):
+    # each row names its axis values in the same text, so rows pair by position
+    everything = sweep.SweepSpec(spec.axes, spec.fixed, sweep.OUTPUT_VOCABULARY)
+    root = tmp_path_factory.mktemp("outputs")
+    full = _csv_rows(everything, str(root / "all.csv"))
+    part = _csv_rows(spec, str(root / "part.csv"))
+    columns = [full[0].index(name) for name in spec.header()]
+    assert part == [[row[k] for k in columns] for row in full]
 
 
 # Entries at least 1e-6 in magnitude (or zero), so that no square underflows.

@@ -107,6 +107,18 @@ class TestSweepSpec:
         with pytest.raises(PhysicsDomainError, match=re.escape(message)):
             sweep.SweepSpec(axes=(sweep.Axis(*axis),), fixed=fixed, outputs=("E_N",))
 
+    @pytest.mark.parametrize(
+        "axis, fixed",
+        [(("omega_rh", 0.2, 1.0, 3), {"omega": 5.0}), (("omega", 0.2, 1.0, 3), {"omega_rh": 5.0})],
+        ids=["axis-omega-rh", "axis-omega"],
+    )
+    def test_rejects_two_frequencies(self, axis, fixed):
+        # once omega won without a word, and omega_rh changed no value
+        with pytest.raises(
+            PhysicsDomainError, match="^a sweep needs omega or omega_rh, not omega and omega_rh$"
+        ):
+            sweep.SweepSpec((sweep.Axis(*axis),), {"d": 4, "r_h": 1.0, **fixed}, ("E_N",))
+
     def test_integral_floats_accepted(self):
         spec = sweep.SweepSpec(
             axes=(sweep.Axis("d", 5.0, 11.0, 7), sweep.Axis("m", 0.0, 2.0, 3)),
@@ -150,11 +162,11 @@ class TestRunSweep:
         path.write_bytes(b"junk," * 4000)
         calls = []
 
-        def failing(params, bh):
+        def failing(params, bh, outputs):
             calls.append(params)
             if len(calls) == 3:
                 raise OverflowError("injected")
-            return real(params, bh)
+            return real(params, bh, outputs)
 
         real = sweep.evaluate_cell
         monkeypatch.setattr(sweep, "evaluate_cell", failing)
@@ -238,20 +250,21 @@ class TestRunSweep:
     def test_evaluate_cell_refuses_non_integral_m(self):
         # once truncated by int() to the m = 1 values
         bh = sweep.resolve_geometry({"d": 4, "r_h": 1.0})
-        cell = sweep.evaluate_cell({"omega": 1.0, "m": 1.5}, bh)
+        cell = sweep.evaluate_cell({"omega": 1.0, "m": 1.5}, bh, sweep.OUTPUT_VOCABULARY)
         assert set(cell.values()) == {"NA:domain"}
 
     def test_evaluate_cell_consistency(self):
         bh = sweep.resolve_geometry({"d": 4, "r_h": 1.0})
-        cell = sweep.evaluate_cell({"d": 4, "r_h": 1.0, "omega": 0.5}, bh)
+        everything = sweep.OUTPUT_VOCABULARY
+        cell = sweep.evaluate_cell({"d": 4, "r_h": 1.0, "omega": 0.5}, bh, everything)
         assert cell["kappa"] == pytest.approx(0.5, rel=1e-14)
         assert cell["Omega"] == 0.0
         assert 0.0 < cell["F"] < 1.0
         # omega_rh route gives the same numbers
-        cell2 = sweep.evaluate_cell({"d": 4, "r_h": 1.0, "omega_rh": 0.5}, bh)
+        cell2 = sweep.evaluate_cell({"d": 4, "r_h": 1.0, "omega_rh": 0.5}, bh, everything)
         assert cell2["E_N"] == cell["E_N"]
         # a geometry token fills every output
-        na = sweep.evaluate_cell({"n": 1, "mu": 1.0, "a": 1.0}, "NA:naked_singularity")
+        na = sweep.evaluate_cell({"n": 1, "mu": 1.0, "a": 1.0}, "NA:naked_singularity", everything)
         assert set(na.values()) == {"NA:naked_singularity"}
 
 
@@ -275,7 +288,7 @@ def _per_cell_csv(spec) -> bytes:
             bh = sweep.resolve_geometry(params)
         except PhysicsDomainError as exc:
             bh = sweep._token_for(exc)
-        cell = sweep.evaluate_cell(params, bh)
+        cell = sweep.evaluate_cell(params, bh, sweep.OUTPUT_VOCABULARY)
         values = list(coords) + [cell[o] for o in spec.outputs]
         lines.append(",".join(sweep.format_value(v) for v in values))
     return ("\n".join(lines) + "\n").encode()
@@ -324,6 +337,47 @@ class TestHoleReuse:
         sweep.run_sweep(spec, str(second))
         assert first.read_bytes() == expected
         assert second.read_bytes() == expected
+
+
+class TestLazyOutputs:
+    """The bosonic series is summed once for each cell whose E_N is written, and only then."""
+
+    @pytest.fixture
+    def series_calls(self, monkeypatch):
+        calls = []
+        real = channels.log_negativity_boson
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        # replaced on the module, as the benchmark's tracer replaces it
+        monkeypatch.setattr(channels, "log_negativity_boson", counted)
+        return calls
+
+    def test_fidelity_sweep_sums_no_series(self, series_calls, tmp_path):
+        out = tmp_path / "f.csv"
+        cfg = os.path.join(DOCS_DIR, "fig_fidelity_vs_dims_mass_boson.cfg")
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 71
+        assert series_calls == []
+
+    def test_point_commands(self, series_calls, capsys):
+        assert cli.main(["teleport", "--kappa", "1", "--omega", "1"]) == 0
+        assert series_calls == []
+        assert cli.main(["entangle", "--kappa", "1", "--omega", "1"]) == 0
+        assert len(series_calls) == 1
+
+    def test_negativity_sweep_sums_once_per_cell_in_domain(self, series_calls, tmp_path):
+        # n = 1, mu = 1: a >= 1 is naked, and m = 1 modes with omega <= Omega are superradiant
+        out = tmp_path / "e.csv"
+        argv = ["sweep", "--axis", "a:0:1.5:4", "--axis", "omega:0.1:1:4", "--fixed", "n=1",
+                "--fixed", "mu=1", "--fixed", "m=1", "--output", "kappa,E_N", "--out", str(out)]
+        assert cli.main(argv) == 0
+        rows = out.read_text().splitlines()[1:]
+        in_domain = [row for row in rows if "NA:" not in row]
+        assert 0 < len(in_domain) < len(rows) == 16
+        assert len(series_calls) == len(in_domain)
 
 
 class TestConfigFile:
@@ -485,9 +539,21 @@ class TestExitCodes:
              "M_*^-(n+2) M_bh underflows to 0 for n=1, --mstar 1e+300, --mbh 1.0"),
             (["tev", "--n", "1", "--mstar", "1e-100", "--mbh", "1e300"],
              "M_*^-(n+2) M_bh overflows for n=1, --mstar 1e-100, --mbh 1e+300"),
+            # once exit 0, printing r_h_4 = 0 and ratio_direct = 0
+            (["tev", "--n", "7", "--mstar", "1e-3", "--mbh", "1e-300"],
+             "r_h_4 underflows to 0 for n=7, --mstar 0.001, --mbh 1e-300"),
+            (["tev", "--n", "1", "--mstar", "1e-100", "--mbh", "1"],
+             "R overflows for n=1, --mstar 1e-100, --mbh 1.0"),
+            # once "mass must be finite and positive, got inf": a mass in kg
+            (["estimate", "hawking-temp", "--msun", "1e300"], "--msun 1e+300 overflows"),
+            (["estimate", "coupling-time", "--msun", "1e300"], "--msun 1e+300 overflows"),
+            (["estimate", "coupling-time", "--msun", "-1"],
+             "--msun must be finite and positive, got -1.0"),
         ],
         ids=["geom-si-underflow", "radiation-underflow", "tev-mass-underflow",
-             "tev-mass-overflow"],
+             "tev-mass-overflow", "tev-horizon-underflow", "tev-size-overflow",
+             "hawking-temp-msun-overflow", "coupling-time-msun-overflow",
+             "coupling-time-msun-negative"],
     )
     def test_vanishing_point_result_exits_3(self, argv, message, capsys):
         # a product of nonzero finite factors that rounds to 0 is no result
@@ -696,11 +762,17 @@ class TestExitCodes:
             ["--axis", "omega:0.1:1:3", "--fixed", "d=4", "--fixed", "M=0"],
             ["--axis", "omega:0.1:1:3", "--fixed", "n=1", "--fixed", "mu=1",
              "--fixed", "a=2"],
+            # once exit 0: the fixed omega won, and three rows read E_N = 1
+            ["--axis", "omega_rh:0.2:1.0:3", "--fixed", "d=4", "--fixed", "r_h=1",
+             "--fixed", "omega=5"],
+            ["--axis", "omega:0.2:1.0:3", "--fixed", "d=4", "--fixed", "r_h=1",
+             "--fixed", "omega_rh=5"],
         ],
         ids=["statistics-typo", "non-integer-d-axis", "non-integer-d-fixed", "nan-fixed",
              "no-geometry-route", "one-point-flag", "fixed-no-value-flag", "unknown-axis-flag",
              "axis-and-fixed", "fixed-twice", "output-twice", "fixed-d-3", "fixed-negative-rh",
-             "fixed-zero-mass", "fixed-naked-singularity"],
+             "fixed-zero-mass", "fixed-naked-singularity", "axis-omega-rh-fixed-omega",
+             "axis-omega-fixed-omega-rh"],
     )
     def test_bad_sweep_spec_writes_no_csv(self, args, tmp_path, capsys):
         out = tmp_path / "x.csv"
