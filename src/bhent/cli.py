@@ -12,10 +12,12 @@ tev           TeV-gravity length scales
 
 Exit codes: 0 success; 2 invalid flags (teleport takes no --tol); 3 physics
 domain error, which also covers a non-finite numeric flag, a result outside
-the floating-point range (pi*omega_eff/kappa below the smallest normal float
-and a non-finite printed value included), a malformed --axis/--fixed flag or
-a malformed or unknown config line (one parser reads both), an oracle-check
---tol outside ten times the series range, and a sweep spec with a
+the floating-point range (pi*omega_eff/kappa below the smallest normal float,
+a teleport fidelity that underflows to 0 and a non-finite printed value
+included), a coupling-time run given both --tbh and --msun or neither, a
+malformed --axis/--fixed flag or a malformed or unknown config line (one
+parser reads both), an oracle-check --tol outside ten times the series
+range, and a sweep spec with a
 non-integer d/n/m, an unknown statistics, a parameter given twice (each is
 an axis or fixed), an output named twice, no complete geometry route, a
 fixed geometry with no hole, or no frequency or two; 4 unreadable config
@@ -28,6 +30,7 @@ non-convergence or a horizon residual).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -131,6 +134,8 @@ def cmd_entangle(args) -> int:
 def cmd_teleport(args) -> int:
     sq = _squeezed(args)
     fid = sweep.OUTPUTS["F"](None, sq, args.statistics, None)  # F reads no hole and no tol
+    if fid == 0.0:  # (1 - e^-x)^3 underflowed: x > 0 here, so 0 is no result
+        raise PhysicsDomainError(f"F underflows to 0 for x = pi*omega_eff/kappa = {sq.x}")
     return _print_results({"F": fid, "r": sq.r})
 
 
@@ -251,16 +256,11 @@ def cmd_estimate(args) -> int:
         if mass == math.inf:
             raise PhysicsDomainError(f"--msun {args.msun} overflows as a mass in kg")
     if args.what == "coupling-time":
-        cavity = estimates.CavitySpec(args.dl, args.vc)
-        res = estimates.coupling_time(mass, cavity, args.tbh)
-        lines = {
-            "t_s": res.time_s,
-            "kappa_si": res.kappa_si,
-            "redshift_ratio": res.redshift_ratio,
-            "delta_E_J": res.energy_change_j,
-            "T_bh_K": res.t_bh,
-            "universe_age_s": estimates.AGE_OF_UNIVERSE_S,
-        }
+        if (args.tbh is None) == (mass is None):  # one temperature, read from one flag
+            raise PhysicsDomainError("coupling-time needs exactly one of --tbh and --msun")
+        t_bh = estimates.hawking_temperature_si(mass) if args.tbh is None else args.tbh
+        lines = {**estimates.coupling_time(t_bh, args.dl, args.vc),
+                 "universe_age_s": estimates.AGE_OF_UNIVERSE_S}
     elif args.what == "hawking-temp":
         if args.msun is None:
             raise PhysicsDomainError("hawking-temp needs --msun")
@@ -296,6 +296,7 @@ def _add_mode_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--Omega", type=float, default=0.0, help="horizon angular velocity")
 
 
+@functools.cache  # built once per process: nothing changes a parser after it is built
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bhent", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -344,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--msun", type=float, help="black hole mass in solar masses")
     p.add_argument("--dl", type=float, default=1.0, help="cavity wall thickness (m)")
     p.add_argument("--vc", type=float, default=1.0, help="cavity volume (m^3)")
-    p.add_argument("--tbh", type=float, help="black hole temperature override (K)")
+    p.add_argument("--tbh", type=float, help="black hole temperature (K), in place of --msun")
     p.add_argument("--temp", type=float, help="radiation temperature (K)")
     p.set_defaults(func=cmd_estimate)
 

@@ -29,18 +29,6 @@ M_SUN = 1.988_92e30
 STEFAN_ALPHA = math.pi**2 * K_B**4 / (15.0 * HBAR**3 * C**3)
 
 
-class CavitySpec:
-    """Thick-walled cavity: wall thickness (m) and inner volume (m^3)."""
-
-    __slots__ = ("wall_thickness", "volume")
-
-    def __init__(self, wall_thickness: float = 1.0, volume: float = 1.0) -> None:
-        check_positive("cavity wall thickness", wall_thickness)
-        check_positive("cavity volume", volume)
-        self.wall_thickness = wall_thickness
-        self.volume = volume
-
-
 def radiation_density(temperature: float) -> float:
     """Thermal radiation energy density rho = alpha T^4 in J/m^3."""
     check_non_negative("temperature", temperature)
@@ -62,41 +50,20 @@ def acceleration_surface_gravity(t_bh: float) -> float:
     return 2.0 * math.pi * C * K_B * t_bh / HBAR
 
 
-class CouplingTimeResult:
-    __slots__ = ("time_s", "kappa_si", "redshift_ratio", "energy_change_j", "t_bh")
+def coupling_time(t_bh: float, wall_thickness: float, volume: float) -> dict[str, float]:
+    """Gravitational coupling time t ~ h c^2 / (kappa dl alpha T_bh^4 V_c), with its factors.
 
-    def __init__(
-        self,
-        time_s: float,
-        kappa_si: float,
-        redshift_ratio: float,  # Delta nu / nu_0 = kappa dl / c^2
-        energy_change_j: float,
-        t_bh: float,
-    ) -> None:
-        self.time_s = time_s
-        self.kappa_si = kappa_si
-        self.redshift_ratio = redshift_ratio
-        self.energy_change_j = energy_change_j
-        self.t_bh = t_bh
-
-
-def coupling_time(
-    mass_kg: float | None, cavity: CavitySpec, t_bh: float | None = None
-) -> CouplingTimeResult:
-    """Gravitational coupling time t ~ h c^2 / (kappa dl alpha T_bh^4 V_c).
-
-    The black hole temperature can either be derived from the mass or passed
-    directly (the rounded 1e-8 K solar value is a common input).
+    A hole at temperature t_bh (K) beside a thick-walled cavity of the given
+    wall thickness (m) and inner volume (m^3); the rounded 1e-8 K solar value
+    is a common input.  Returns the lines `estimate coupling-time` prints.
     """
-    if t_bh is None:
-        if mass_kg is None:
-            raise PhysicsDomainError("need a black hole mass or temperature")
-        t_bh = hawking_temperature_si(mass_kg)
+    check_positive("cavity wall thickness", wall_thickness)
+    check_positive("cavity volume", volume)
     kappa = acceleration_surface_gravity(t_bh)
-    redshift = kappa * cavity.wall_thickness / C**2
-    delta_e = radiation_density(t_bh) * cavity.volume
-    t = H / (redshift * delta_e)
-    return CouplingTimeResult(t, kappa, redshift, delta_e, t_bh)
+    redshift = kappa * wall_thickness / C**2  # Delta nu / nu_0
+    delta_e = radiation_density(t_bh) * volume
+    return {"t_s": H / (redshift * delta_e), "kappa_si": kappa, "redshift_ratio": redshift,
+            "delta_E_J": delta_e, "T_bh_K": t_bh}
 
 
 AGE_OF_UNIVERSE_S = 4e17

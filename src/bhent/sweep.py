@@ -333,12 +333,15 @@ def _rewritten(path: str):
 
     An existing file is not truncated to zero first: on ext4 that frees its
     blocks and forces a flush at close, which costs more than a small sweep
-    and varies from run to run.  An aborted sweep leaves the rows it wrote.
+    and varies from run to run.  When an exception escapes, the file is cut
+    to length 0, so an aborted write leaves no partial rows.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+        end = 0
         try:
             yield fh
+            end = None  # truncate(None) cuts at the current position
         finally:
             if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null or a pipe cannot be cut
-                fh.truncate()
+                fh.truncate(end)

@@ -175,9 +175,7 @@ def test_ac06_monotonicity_suite():
 
 def test_ac07_estimates():
     start = time.monotonic()
-    t_couple = estimates.coupling_time(
-        None, estimates.CavitySpec(1.0, 1.0), t_bh=1e-8
-    ).time_s
+    t_couple = estimates.coupling_time(1e-8, 1.0, 1.0)["t_s"]
     t_sun = estimates.hawking_temperature_si(estimates.M_SUN)
     scales = geometry.tev_scales(2, 1.0, 5.0)
     ok = (

@@ -74,6 +74,8 @@ CORPUS = (
         "estimate coupling-time --msun 1 --dl 2 --vc 3",
         "estimate hawking-temp --msun 1",
         "estimate radiation-density --temp 300",
+        "estimate coupling-time --msun 1 --tbh 1e-8",
+        "teleport --kappa 1e300 --omega 1e-2",
     ]
 )
 
@@ -99,6 +101,16 @@ def sweep_csv(recipe: str, path: Path) -> bytes:
 
 
 def test_point_commands_match_golden():
+    golden = (GOLDEN / "point_commands.txt").read_text(encoding="utf-8")
+    assert transcript() == golden
+
+
+def test_one_parser_serves_every_call():
+    # main builds its parser once; calls refused by it leave nothing behind for the next
+    assert cli.build_parser() is cli.build_parser()
+    assert run(["teleport", "--kappa", "1", "--omega", "1", "--tol", "1e-6"])[0] == 2
+    assert run(["sweep", "--axis", "omega:0.1:1:2"])[0] == 2  # no --out
+    assert run(["geom", "--bogus", "1"])[0] == 2
     golden = (GOLDEN / "point_commands.txt").read_text(encoding="utf-8")
     assert transcript() == golden
 

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -172,7 +173,7 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "evaluate_cell", failing)
         with pytest.raises(OverflowError):
             sweep.run_sweep(spec_2d(), str(path))
-        assert path.read_text().count("\n") == 3  # header and two rows, no junk
+        assert path.read_bytes() == b""  # no header, no rows and no junk
         assert "junk" not in path.read_text()
 
     def test_non_regular_output(self):
@@ -549,11 +550,13 @@ class TestExitCodes:
             (["estimate", "coupling-time", "--msun", "1e300"], "--msun 1e+300 overflows"),
             (["estimate", "coupling-time", "--msun", "-1"],
              "--msun must be finite and positive, got -1.0"),
+            # once exit 0, printing F = 0: (1 - e^-x)^3 underflows below x of about 1e-108
+            (["teleport", "--kappa", "1e300", "--omega", "1e-2"], "F underflows to 0"),
         ],
         ids=["geom-si-underflow", "radiation-underflow", "tev-mass-underflow",
              "tev-mass-overflow", "tev-horizon-underflow", "tev-size-overflow",
              "hawking-temp-msun-overflow", "coupling-time-msun-overflow",
-             "coupling-time-msun-negative"],
+             "coupling-time-msun-negative", "teleport-fidelity-underflow"],
     )
     def test_vanishing_point_result_exits_3(self, argv, message, capsys):
         # a product of nonzero finite factors that rounds to 0 is no result
@@ -562,6 +565,26 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--msun", "1", "--tbh", "1e-8"]], ids=["neither", "both"]
+    )
+    def test_coupling_time_reads_one_temperature(self, flags, capsys):
+        # once exit 0 with both, printing the --tbh lines and dropping the mass
+        assert cli.main(["estimate", "coupling-time", *flags]) == cli.EXIT_PHYSICS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: coupling-time needs exactly one of --tbh and --msun\n"
+
+    def test_sweep_cell_writes_underflowed_fidelity(self, tmp_path):
+        # teleport refuses F = 0 there; a cell writes the closed form's float
+        path = tmp_path / "f.csv"
+        spec = sweep.SweepSpec(
+            axes=(sweep.Axis("omega", 1e-2, 2e-2, 2),),
+            fixed={"d": 4, "r_h": 1e-300}, outputs=("F",),
+        )
+        assert sweep.run_sweep(spec, str(path)) == 2
+        assert path.read_text().splitlines() == ["omega,F", "0.01,0", "0.02,0"]
 
     @pytest.mark.parametrize(
         "argv, line",
@@ -911,6 +934,25 @@ class TestPointCommands:
         assert cli.main(["tev", "--n", "2", "--mstar", "1", "--mbh", "5"]) == 0
         out = capsys.readouterr().out
         assert "r_h_4n" in out
+
+
+def _readme_cli_examples() -> list[str]:
+    """The commands of the shell block under README's `## CLI`, continuations joined."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("line", _readme_cli_examples())
+def test_readme_cli_example_runs(line, tmp_path, monkeypatch, capsys):
+    argv = shlex.split(line, comments=True)
+    assert argv[0] == "bhent"
+    argv = argv[1:]
+    for i, flag in enumerate(argv[:-1]):
+        if flag == "--out":
+            argv[i + 1] = str(tmp_path / argv[i + 1])
+    monkeypatch.chdir(Path(__file__).parent.parent)  # the examples name docs/ from the root
+    assert cli.main(argv) == cli.EXIT_OK, capsys.readouterr().err
 
 
 class TestFigureRecipes:
