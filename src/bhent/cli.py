@@ -14,7 +14,8 @@ Exit codes: 0 success; 2 invalid flags (teleport takes no --tol); 3 physics
 domain error, which also covers a non-finite numeric flag, a result outside
 the floating-point range (pi*omega_eff/kappa below the smallest normal float,
 a teleport fidelity that underflows to 0 and a non-finite printed value
-included), a coupling-time run given both --tbh and --msun or neither, a
+included), a coupling-time run given both --tbh and --msun or neither, an
+estimate given a flag its estimator does not read (hawking-temp --tbh), a
 malformed --axis/--fixed flag or a malformed or unknown config line (one
 parser reads both), an oracle-check --tol outside ten times the series
 range, and a sweep spec with a
@@ -246,9 +247,16 @@ def cmd_oracle_check(args) -> int:
 # -------------------------------------------------------------- estimators
 
 
+_ESTIMATOR_FLAGS = {"coupling-time": ("msun", "dl", "vc", "tbh"), "hawking-temp": ("msun",),
+                    "radiation-density": ("temp",)}
+
+
 def cmd_estimate(args) -> int:
     from bhent import estimates  # imported here, as the oracle is in oracle-check
 
+    for flag in ("msun", "dl", "vc", "tbh", "temp"):  # each flag is read by its estimators alone
+        if getattr(args, flag) is not None and flag not in _ESTIMATOR_FLAGS[args.what]:
+            raise PhysicsDomainError(f"{args.what} does not read --{flag}")
     mass = None
     if args.msun is not None:  # checked here, so that no error names a mass in kg
         check_positive("--msun", args.msun)
@@ -259,7 +267,9 @@ def cmd_estimate(args) -> int:
         if (args.tbh is None) == (mass is None):  # one temperature, read from one flag
             raise PhysicsDomainError("coupling-time needs exactly one of --tbh and --msun")
         t_bh = estimates.hawking_temperature_si(mass) if args.tbh is None else args.tbh
-        lines = {**estimates.coupling_time(t_bh, args.dl, args.vc),
+        dl = 1.0 if args.dl is None else args.dl
+        vc = 1.0 if args.vc is None else args.vc
+        lines = {**estimates.coupling_time(t_bh, dl, vc),
                  "universe_age_s": estimates.AGE_OF_UNIVERSE_S}
     elif args.what == "hawking-temp":
         if args.msun is None:
@@ -343,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="SI-unit estimators")
     p.add_argument("what", choices=("coupling-time", "hawking-temp", "radiation-density"))
     p.add_argument("--msun", type=float, help="black hole mass in solar masses")
-    p.add_argument("--dl", type=float, default=1.0, help="cavity wall thickness (m)")
-    p.add_argument("--vc", type=float, default=1.0, help="cavity volume (m^3)")
+    p.add_argument("--dl", type=float, help="cavity wall thickness (m), 1 when not given")
+    p.add_argument("--vc", type=float, help="cavity volume (m^3), 1 when not given")
     p.add_argument("--tbh", type=float, help="black hole temperature (K), in place of --msun")
     p.add_argument("--temp", type=float, help="radiation temperature (K)")
     p.set_defaults(func=cmd_estimate)

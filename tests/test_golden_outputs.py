@@ -76,6 +76,8 @@ CORPUS = (
         "estimate radiation-density --temp 300",
         "estimate coupling-time --msun 1 --tbh 1e-8",
         "teleport --kappa 1e300 --omega 1e-2",
+        "estimate hawking-temp --msun 1 --tbh 5 --temp 3",
+        "estimate radiation-density --temp 3 --dl 5",
     ]
 )
 

@@ -48,6 +48,22 @@ class TestJacobiEigh:
         with pytest.raises(ContractViolationError):
             kernels.jacobi_eigh([[1.0, 2.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[1.0, 1.0], [1.0 + 1e-11, 2.0]],
+            [[1.0, 1e-11], [0.0, 1.0]],
+            [[1.0, 0.5, 2e-11], [0.5, 2.0, 0.3], [0.0, 0.3, 3.0]],
+        ],
+        ids=["2x2", "2x2-diagonal", "3x3"],
+    )
+    def test_asymmetry_within_contract_converges(self, a):
+        # once 60 sweeps and "did not converge": a rotation zeroes a[p][q] alone,
+        # and the mirror kept the asymmetry, far above the stopping threshold
+        w = kernels.jacobi_eigh(a)
+        m = np.array(a)
+        assert np.max(np.abs(np.array(w) - np.linalg.eigvalsh((m + m.T) / 2))) <= 1e-12
+
     def test_nonsquare_rejected(self):
         with pytest.raises(ContractViolationError):
             kernels.jacobi_eigh([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])

@@ -6,6 +6,7 @@ t = 1 above it; tanh^2 r rounds to 1 from r ~ 19 on.
 """
 
 import math
+import struct
 import sys
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from bhent import channels, fock_oracle, kernels, modes, sweep
-from bhent.errors import PhysicsDomainError, TruncationError
+from bhent.errors import ContractViolationError, PhysicsDomainError, TruncationError
 from helpers import Horizon, reference_post_state, sector_items, traced_blockwise
 
 SERIES_LIMIT = math.log2(1.0 + math.sqrt(math.pi) / 2.0)
@@ -300,6 +301,83 @@ def test_jacobi_matches_lapack(a):
     w = kernels.jacobi_eigh(a.tolist())
     err = np.max(np.abs(np.array(w) - np.linalg.eigvalsh(a)))
     assert err <= 1e-12 * np.linalg.norm(a)
+
+
+# 2x2 blocks for the unrolled path of jacobi_eigh: entries from 2^-1080
+# (subnormal) to 2^1000 around a shared scale, the special values, equal
+# diagonals, and asymmetry inside and outside the 1e-10 contract.
+SPECIAL_ENTRIES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                   sys.float_info.min, sys.float_info.max, -sys.float_info.max, 1.0, -1.0]
+ASYMMETRIES = [0.0, 1e-14, 1e-11, 3e-11, 1e-10, 2e-10, 1e-9]
+
+
+@st.composite
+def blocks_2x2(draw):
+    top = draw(st.integers(min_value=-1080, max_value=1000))
+    entry = st.one_of(
+        st.sampled_from(SPECIAL_ENTRIES),
+        st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0),
+                  st.integers(min_value=-1080, max_value=1000)),
+        st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0),
+                  st.integers(min_value=top - 60, max_value=top)),
+        st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0),
+                  st.integers(min_value=top - 2, max_value=top)),
+    )
+    a00, a01, a11 = draw(entry), draw(entry), draw(entry)
+    if draw(st.booleans()):
+        a11 = a00
+    kind = draw(st.sampled_from(["symmetric", "asymmetric", "any"]))
+    a10 = a01
+    if kind == "asymmetric":
+        size = max([abs(a00), abs(a01), abs(a11), 1.0])
+        a10 = a01 + draw(st.sampled_from(ASYMMETRIES)) * draw(st.sampled_from([1.0, -1.0])) * size
+    elif kind == "any":
+        a10 = draw(entry)
+    return [[a00, a01], [a10, a11]]
+
+
+def _eigh_outcome(solve, block):
+    """The eigenvalues' bytes, or the exception's type and message."""
+    try:
+        return struct.pack("<2d", *solve(block))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _sweep_loop_eigh(block):
+    """jacobi_eigh through the sweep loop: its checks, the scaled symmetrised
+    copy, _jacobi_sweeps, and the sorted unscaled diagonal."""
+    (a00, a01), (a10, a11) = block
+    largest = max(abs(a00), abs(a01), abs(a10), abs(a11))
+    scale, asym = max(largest, 1.0), abs(a10 - a01)
+    if asym > 1e-10 * scale:
+        raise ContractViolationError(f"matrix asymmetry {asym} exceeds contract (scale {scale})")
+    exp = math.frexp(largest)[1]
+    m = (math.ldexp(a01, -exp) + math.ldexp(a10, -exp)) / 2
+    a = [[math.ldexp(a00, -exp), m], [m, math.ldexp(a11, -exp)]]
+    if kernels._jacobi_sweeps(a, kernels.JACOBI_TOL, kernels.MAX_SWEEPS) < 0:
+        raise ContractViolationError(
+            f"Jacobi iteration did not converge in {kernels.MAX_SWEEPS} sweeps"
+        )
+    return sorted(math.ldexp(a[i][i], exp) for i in range(2))
+
+
+@seed(25)
+@settings(max_examples=1000, deadline=500, database=None)
+@given(block=blocks_2x2(), sweeps=st.sampled_from([kernels.MAX_SWEEPS, 1, 0]))
+@example(block=[[1.0, 0.5], [0.5, 2.0]], sweeps=0)
+@example(block=[[1.0, 0.5], [0.5, 2.0]], sweeps=1)
+@example(block=[[math.nan, 0.5], [0.5, 2.0]], sweeps=kernels.MAX_SWEEPS)
+@example(block=[[1.0, math.nan], [math.nan, 2.0]], sweeps=kernels.MAX_SWEEPS)
+@example(block=[[math.nan, 0.0], [0.0, 2.0]], sweeps=kernels.MAX_SWEEPS)
+@example(block=[[math.inf, 1.0], [1.0, 2.0]], sweeps=kernels.MAX_SWEEPS)
+@example(block=[[1.0, math.inf], [-math.inf, 2.0]], sweeps=kernels.MAX_SWEEPS)
+@example(block=[[1.0, 1.0], [1.0 + 1e-11, 2.0]], sweeps=kernels.MAX_SWEEPS)
+@example(block=[[1.0, 1e-11], [0.0, 1.0]], sweeps=kernels.MAX_SWEEPS)
+def test_jacobi_2x2_matches_sweep_loop_bit_for_bit(block, sweeps):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "MAX_SWEEPS", sweeps)
+        assert _eigh_outcome(kernels.jacobi_eigh, block) == _eigh_outcome(_sweep_loop_eigh, block)
 
 
 @seed(11)

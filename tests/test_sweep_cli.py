@@ -576,6 +576,29 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: coupling-time needs exactly one of --tbh and --msun\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["estimate", "hawking-temp", "--msun", "1", "--tbh", "5", "--temp", "3"],
+             "hawking-temp does not read --tbh"),
+            (["estimate", "radiation-density", "--temp", "3", "--dl", "5"],
+             "radiation-density does not read --dl"),
+            (["estimate", "coupling-time", "--tbh", "1e-8", "--temp", "3"],
+             "coupling-time does not read --temp"),
+            # named before --msun is checked, which would refuse -1
+            (["estimate", "radiation-density", "--temp", "3", "--msun", "-1"],
+             "radiation-density does not read --msun"),
+        ],
+        ids=["hawking-temp-tbh", "radiation-density-dl", "coupling-time-temp",
+             "radiation-density-msun"],
+    )
+    def test_estimate_refuses_flags_it_does_not_read(self, argv, message, capsys):
+        # once exit 0, the flag dropped without a word
+        assert cli.main(argv) == cli.EXIT_PHYSICS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_sweep_cell_writes_underflowed_fidelity(self, tmp_path):
         # teleport refuses F = 0 there; a cell writes the closed form's float
         path = tmp_path / "f.csv"
